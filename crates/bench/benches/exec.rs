@@ -48,7 +48,7 @@
 use bdi_bench::synthetic;
 use bdi_bench::{measure, Measurement};
 use bdi_core::exec::{Engine, ExecOptions, FeatureFilter};
-use bdi_core::system::{AnswerRequest, BdiSystem, VersionScope};
+use bdi_core::system::{AnswerRequest, BdiSystem};
 use bdi_relational::plan::{
     execute_plan_in_with, execute_plan_prefetched_with, ExecPolicy, ScanCache,
 };
@@ -116,7 +116,7 @@ fn options(engine: Engine, pushdown: bool, parallel: bool) -> ExecOptions {
 
 fn answer_len(system: &BdiSystem, concepts: usize, opts: &ExecOptions) -> usize {
     system
-        .answer_with(synthetic::chain_query(concepts), &VersionScope::All, opts)
+        .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).options(opts.clone()))
         .expect("benchmark query answers")
         .relation
         .len()
@@ -203,7 +203,7 @@ fn main() {
     )];
     let filtered = |opts: &ExecOptions| {
         filter_system
-            .answer_with(synthetic::chain_query_with_id(1), &VersionScope::All, opts)
+            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(opts.clone()))
             .expect("filtered query answers")
             .relation
             .len()
@@ -400,7 +400,7 @@ fn main() {
             ..stream_full.clone()
         };
         order_system
-            .answer_with(synthetic::chain_query(4), &VersionScope::All, &opts)
+            .serve(AnswerRequest::omq(synthetic::chain_query(4)).options(opts.clone()))
             .expect("ordering query answers")
             .relation
             .len()
@@ -410,7 +410,7 @@ fn main() {
         ..eager.clone()
     };
     let expected = order_system
-        .answer_with(synthetic::chain_query(4), &VersionScope::All, &order_eager)
+        .serve(AnswerRequest::omq(synthetic::chain_query(4)).options(order_eager.clone()))
         .expect("ordering query answers")
         .relation
         .len();

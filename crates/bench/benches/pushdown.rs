@@ -13,7 +13,7 @@
 //! * **Pushed IN-set scan** — the same shape with a 3-member IN-set.
 //! * **Cached plan vs recompile** — a rewriting-heavy query (3 concepts ×
 //!   4 wrappers → 64 walks) over tiny data, answered through
-//!   `BdiSystem::answer_with` with the cross-query plan cache off (PR 2
+//!   `BdiSystem::serve` with the cross-query plan cache off (PR 2
 //!   behaviour: rewrite + compile every time) vs on (hit after the first
 //!   query) vs on with `reuse_scans` (interned scans also carried over).
 //!
@@ -24,7 +24,7 @@
 use bdi_bench::synthetic;
 use bdi_bench::{measure, Measurement};
 use bdi_core::exec::{self, Engine, ExecOptions, FeatureFilter};
-use bdi_core::system::{BdiSystem, VersionScope};
+use bdi_core::system::{AnswerRequest, BdiSystem};
 use bdi_relational::plan::ColumnFilter;
 use bdi_relational::{
     PlanSource, Predicate, Relation, RelationError, ScanRequest, SourceResolver, Value,
@@ -189,7 +189,7 @@ fn main() {
     };
     let answer = |opts: &ExecOptions| {
         cache_system
-            .answer_with(query(), &VersionScope::All, opts)
+            .serve(AnswerRequest::omq(query()).options(opts.clone()))
             .expect("benchmark query answers")
             .relation
             .len()

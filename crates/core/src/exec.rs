@@ -148,7 +148,12 @@ pub struct SourceFailure {
 
 /// Execution knobs. [`ExecOptions::default`] is what [`crate::system`] uses:
 /// the streaming engine with projection pushdown and parallel walks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The fields that shape the compiled plan are split off as
+/// [`PlanOptions`] at the compile boundary; every other field is read at
+/// execution time through [`ExecOptions::runtime`] (or, for `cache_plans`
+/// and `reuse_scans`, by [`crate::system::BdiSystem::serve`] itself).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     pub engine: Engine,
     /// Push each walk's projection set into the wrappers' scans. When off,
@@ -180,16 +185,13 @@ pub struct ExecOptions {
     /// claims_filter`]) filter natively (`TableWrapper` in-scan,
     /// `JsonWrapper` through its `$match` translation); for ones that do
     /// not, the join's own hash probe is the residual semi-join, so answers
-    /// are engine-independent either way. `0` disables the pass. A
-    /// runtime-only knob: it never shapes the compiled plan, so the
-    /// system's plan cache normalizes it out of the cache key.
+    /// are engine-independent either way. `0` disables the pass.
     pub semijoin_max_keys: usize,
     /// Degrade the semi-join pass to a Bloom filter instead of disabling it
     /// when the build side's distinct keys exceed `semijoin_max_keys` (up
     /// to [`bdi_relational::plan::BLOOM_SEMIJOIN_MAX_KEYS`]). False
     /// positives only ship extra probe rows the join then discards, so
-    /// answers are identical either way. Runtime-only (normalized out of
-    /// the plan-cache key) like `semijoin_max_keys`.
+    /// answers are identical either way.
     pub bloom_semijoins: bool,
     /// Order each walk's joins by estimated output cardinality (from the
     /// wrappers' column sketches, [`bdi_wrappers::Wrapper::column_stats`])
@@ -197,40 +199,69 @@ pub struct ExecOptions {
     /// contract already sorts the answer (multi-walk rewritings or filtered
     /// queries — a single unfiltered walk keeps its natural order and its
     /// syntactic join tree), and only when every wrapper in the walk offers
-    /// a row estimate; otherwise the syntactic order is kept. A
-    /// *compile-time* knob: it shapes the plan, so it stays in the
-    /// plan-cache key.
+    /// a row estimate; otherwise the syntactic order is kept.
     pub cost_based_joins: bool,
     /// How scans materialize through the execution context (see
     /// [`ScanCache`]): `Auto` (default) caches unless a source's size hint
     /// exceeds the context's value-cap watermark, `Always` forces the
     /// pre-cursor behaviour, `Never` pulls every scan cursor-only — the
-    /// mode for one-shot queries over sources larger than RAM. Runtime-only
-    /// (normalized out of the plan-cache key) like `semijoin_max_keys`.
+    /// mode for one-shot queries over sources larger than RAM.
     pub scan_cache: ScanCache,
-    /// Per-query deadline, measured from [`ExecOptions::policy`] (i.e. from
-    /// when execution starts). Every operator, scan fill and prefetch queue
-    /// wait checks it, so a stalled source aborts the query with
+    /// Per-query deadline, measured from [`ExecOptions::runtime`] (i.e.
+    /// from when execution starts). Every operator, scan fill and prefetch
+    /// queue wait checks it, so a stalled source aborts the query with
     /// [`bdi_relational::plan::PlanError::DeadlineExceeded`] within one
     /// page-fetch budget of the deadline instead of hanging. `None` (the
-    /// default) never expires. Runtime-only (normalized out of the
-    /// plan-cache key); the eager reference engine ignores it.
+    /// default) never expires. The eager reference engine ignores it.
     pub deadline: Option<Duration>,
     /// What a permanently failed source does to the answer: abort
     /// ([`SourceFailurePolicy::Fail`], the default) or drop that source's
     /// walks and return a partial answer with a [`SourceFailure`] report
-    /// ([`SourceFailurePolicy::Degrade`]). Runtime-only (normalized out of
-    /// the plan-cache key); the eager reference engine ignores it.
+    /// ([`SourceFailurePolicy::Degrade`]). The eager reference engine
+    /// ignores it.
     pub on_source_failure: SourceFailurePolicy,
     /// Per-query row limit: an answer holding more rows than this is
     /// truncated to the first `max_rows` (in the answer's contractual row
     /// order) and flagged [`QueryAnswer::truncated`]. `None` (the default)
     /// never truncates. The serving front end maps a client's row budget
-    /// onto this knob. Runtime-only (normalized out of the plan-cache key),
-    /// and honoured by *both* engines — truncation happens after the answer
-    /// relation is assembled, so it can never change which rows exist, only
-    /// how many are returned.
+    /// onto this knob. Honoured by *both* engines — truncation happens
+    /// after the answer relation is assembled, so it can never change which
+    /// rows exist, only how many are returned.
     pub max_rows: Option<usize>,
+}
+
+/// The [`ExecOptions`] fields that shape a compiled plan, and nothing
+/// else: a [`CompiledQuery`] is built from these alone, so they are
+/// exactly what the system's plan cache keys on. Every other
+/// `ExecOptions` field is runtime-only — `cache_plans` and `reuse_scans`
+/// steer [`crate::system::BdiSystem::serve`], and the semi-join, scan-cache,
+/// deadline, source-failure and row-limit knobs reach the executor through
+/// the caller's [`ExecRuntime`] — so queries that differ only in them share
+/// one cached plan, and no run-time knob can leak into a cached one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PlanOptions {
+    /// See [`ExecOptions::engine`].
+    pub engine: Engine,
+    /// See [`ExecOptions::pushdown`].
+    pub pushdown: bool,
+    /// See [`ExecOptions::parallel`].
+    pub parallel: bool,
+    /// See [`ExecOptions::filters`].
+    pub filters: Vec<FeatureFilter>,
+    /// See [`ExecOptions::cost_based_joins`].
+    pub cost_based_joins: bool,
+}
+
+impl From<&ExecOptions> for PlanOptions {
+    fn from(options: &ExecOptions) -> Self {
+        Self {
+            engine: options.engine,
+            pushdown: options.pushdown,
+            parallel: options.parallel,
+            filters: options.filters.clone(),
+            cost_based_joins: options.cost_based_joins,
+        }
+    }
 }
 
 impl Default for ExecOptions {
@@ -254,28 +285,18 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The relational-layer runtime [`ExecPolicy`] these options select —
-    /// read at execution time from the *caller's* options, never from a
-    /// cached [`CompiledQuery`] (the plan cache normalizes runtime knobs
-    /// out of its keys, so a cached entry's stored options may not carry
-    /// them).
-    pub fn policy(&self) -> ExecPolicy {
-        ExecPolicy {
-            semijoin_max_keys: self.semijoin_max_keys,
-            bloom_semijoins: self.bloom_semijoins,
-            scan_cache: self.scan_cache,
-            deadline: self.deadline.and_then(|d| Instant::now().checked_add(d)),
-        }
-    }
-
-    /// The full bundle of runtime (execution-only) knobs these options
-    /// select — the [`ExecPolicy`] plus the knobs resolved at the core
-    /// layer (failure policy, row limit). Like [`ExecOptions::policy`],
-    /// always derived from the *caller's* options, never from a cached
-    /// [`CompiledQuery`].
+    /// The runtime (execution-only) knobs these options select: the
+    /// relational-layer [`ExecPolicy`] plus the knobs resolved at the core
+    /// layer (failure policy, row limit). The deadline starts counting
+    /// here.
     pub fn runtime(&self) -> ExecRuntime {
         ExecRuntime {
-            policy: self.policy(),
+            policy: ExecPolicy {
+                semijoin_max_keys: self.semijoin_max_keys,
+                bloom_semijoins: self.bloom_semijoins,
+                scan_cache: self.scan_cache,
+                deadline: self.deadline.and_then(|d| Instant::now().checked_add(d)),
+            },
             on_source_failure: self.on_source_failure,
             max_rows: self.max_rows,
         }
@@ -284,13 +305,12 @@ impl ExecOptions {
 
 /// The runtime knobs one execution of a [`CompiledQuery`] runs under: the
 /// relational-layer [`ExecPolicy`] (semi-joins, scan-cache mode, deadline)
-/// plus the core-layer source-failure policy and row limit. The system's
-/// plan cache normalizes all of these out of its keys, so a cached plan is
-/// executed under the knobs of whoever *this* call is for — never the knobs
-/// it happened to be compiled under.
+/// plus the core-layer source-failure policy and row limit. None of these
+/// is part of [`PlanOptions`], so a cached plan always executes under the
+/// knobs of whoever *this* call is for.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecRuntime {
-    /// Relational-layer execution policy (see [`ExecOptions::policy`]).
+    /// Relational-layer execution policy.
     pub policy: ExecPolicy,
     /// What a permanently failed source does to the answer.
     pub on_source_failure: SourceFailurePolicy,
@@ -436,9 +456,9 @@ where
 }
 
 /// Evaluates the rewriting with explicit [`ExecOptions`] (compile +
-/// execute, no caching — [`crate::system::BdiSystem::answer_with`] layers
-/// the cross-query plan cache on top of [`compile_query`] /
-/// [`execute_compiled`]).
+/// execute, no caching — [`crate::system::BdiSystem::serve`] layers the
+/// cross-query plan cache on top of [`compile_query`] /
+/// [`execute_compiled_with`]).
 pub fn execute_with<S>(
     ontology: &BdiOntology,
     source: &S,
@@ -449,7 +469,7 @@ where
     S: SourceResolver + PlanSource,
 {
     let compiled = compile_query(ontology, source, rewriting.clone(), options)?;
-    execute_compiled(ontology, source, &compiled, None)
+    execute_compiled_with(ontology, source, &compiled, None, options.runtime())
 }
 
 // ---------------------------------------------------------------------------
@@ -676,7 +696,7 @@ fn compile_walk(
     features: &[Iri],
     columns: &[String],
     target: &Schema,
-    options: &ExecOptions,
+    options: &PlanOptions,
     order_safe: bool,
 ) -> Result<(PhysicalPlan, PlanNote), ExecError> {
     // Each filter lands on the (wrapper, attribute) providing its feature
@@ -976,15 +996,15 @@ const MAX_WORKERS: usize = 16;
 /// A query compiled once and executable many times: the (scope-filtered)
 /// rewriting, the target schema, the rendered walk algebra and — for the
 /// streaming engine — one physical plan per walk. Plans depend only on the
-/// ontology, the options and the sources' *capabilities* (never their
-/// data), so a `CompiledQuery` stays valid until the next release; the
-/// system's cross-query plan cache keys on exactly that.
+/// ontology, the [`PlanOptions`] and the sources' *capabilities* (never
+/// their data), so a `CompiledQuery` stays valid until the next release;
+/// the system's cross-query plan cache keys on exactly that.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The rewriting the plans were compiled from. Shared (`Arc`) so
     /// cache-hit answers hand it out without deep-cloning the walks.
     pub rewriting: std::sync::Arc<Rewriting>,
-    options: ExecOptions,
+    options: PlanOptions,
     schema: Schema,
     walk_exprs: Vec<String>,
     /// One plan per walk (left empty under [`Engine::Eager`], which
@@ -995,11 +1015,6 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// The options the query was compiled under.
-    pub fn options(&self) -> &ExecOptions {
-        &self.options
-    }
-
     /// Rendered physical plans (diagnostics).
     pub fn plan_strings(&self) -> Vec<String> {
         self.plans.iter().map(|p| p.to_string()).collect()
@@ -1021,11 +1036,12 @@ pub fn compile_query<S>(
     ontology: &BdiOntology,
     source: &S,
     rewriting: Rewriting,
-    options: &ExecOptions,
+    options: impl Into<PlanOptions>,
 ) -> Result<CompiledQuery, ExecError>
 where
     S: SourceResolver + PlanSource,
 {
+    let options = options.into();
     let features = &rewriting.well_formed.omq.pi;
     let schema = target_schema(ontology, features)?;
     resolve_filters(features, &options.filters)?;
@@ -1044,7 +1060,7 @@ where
             walk_exprs.push(walk.to_rel_expr_full(ontology).to_string());
             let columns = walk_columns(ontology, walk, features)?;
             let (plan, note) = compile_walk(
-                ontology, source, walk, walk_index, features, &columns, &schema, options,
+                ontology, source, walk, walk_index, features, &columns, &schema, &options,
                 order_safe,
             )?;
             plans.push(plan);
@@ -1053,7 +1069,7 @@ where
     }
     Ok(CompiledQuery {
         rewriting: std::sync::Arc::new(rewriting),
-        options: options.clone(),
+        options,
         schema,
         walk_exprs,
         plans,
@@ -1061,35 +1077,16 @@ where
     })
 }
 
-/// Executes a compiled query. `ctx` lets callers thread a persistent
-/// [`ExecContext`] through (reusing interned scans and join build sides
-/// across queries); `None` executes against a fresh context, re-scanning
-/// every wrapper — the right default when source data may have changed.
-/// The runtime policy (semi-join passing, scan-cache mode) is derived from
-/// the options the query was compiled under; use
-/// [`execute_compiled_with`] to execute the same compiled query under a
-/// different policy.
-pub fn execute_compiled<S>(
-    ontology: &BdiOntology,
-    source: &S,
-    compiled: &CompiledQuery,
-    ctx: Option<&ExecContext>,
-) -> Result<QueryAnswer, ExecError>
-where
-    S: SourceResolver + PlanSource,
-{
-    execute_compiled_with(ontology, source, compiled, ctx, compiled.options.runtime())
-}
-
-/// [`execute_compiled`] under an explicit [`ExecRuntime`] (runtime policy,
-/// source-failure policy, row limit) — the entry point
-/// [`crate::system::BdiSystem::serve`] uses, since its plan cache
-/// normalizes runtime knobs (semi-join keys, scan-cache mode, deadline,
-/// degrade policy, row limit) out of the cache key and must execute each
-/// hit under the *caller's* knobs, not the cached ones. Row-limit
-/// truncation is applied here, after the answer relation is assembled, so
-/// both engines honour it identically and the kept prefix respects the
-/// answer's contractual row order.
+/// Executes a compiled query under the caller's [`ExecRuntime`] (runtime
+/// policy, source-failure policy, row limit) — the entry point
+/// [`crate::system::BdiSystem::serve`] uses for cached and fresh plans
+/// alike. `ctx` lets callers thread a persistent [`ExecContext`] through
+/// (reusing interned scans and join build sides across queries); `None`
+/// executes against a fresh context, re-scanning every wrapper — the right
+/// default when source data may have changed. Row-limit truncation is
+/// applied here, after the answer relation is assembled, so both engines
+/// honour it identically and the kept prefix respects the answer's
+/// contractual row order.
 pub fn execute_compiled_with<S>(
     ontology: &BdiOntology,
     source: &S,

@@ -18,9 +18,12 @@
 //!
 //! ```
 //! use bdi_core::supersede;
+//! use bdi_core::system::AnswerRequest;
 //!
 //! let system = supersede::build_running_example();
-//! let answer = system.answer(&supersede::exemplary_query()).unwrap();
+//! let answer = system
+//!     .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+//!     .unwrap();
 //! assert_eq!(answer.relation.len(), 3); // Table 2
 //! ```
 

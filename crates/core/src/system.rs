@@ -15,7 +15,7 @@
 //! literature; see PAPERS.md).
 
 use crate::exec::{
-    self, CompiledQuery, ExecError, ExecOptions, PlanNote, QueryAnswer, SourceFailure,
+    self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanOptions, QueryAnswer, SourceFailure,
 };
 use crate::omq::{Omq, OmqError};
 use crate::ontology::BdiOntology;
@@ -132,9 +132,10 @@ type CacheValidity = (usize, u64, u64, u64);
 /// [`BdiSystem::set_context_value_cap`]).
 const DEFAULT_CTX_VALUE_CAP: usize = 1 << 20;
 
-/// Cache key: the full query identity — OMQ fingerprint, version scope and
-/// execution options (engine, pushdown, filters all shape the plan).
-type PlanKey = (Omq, VersionScope, ExecOptions);
+/// Cache key: the query identity — OMQ, version scope and the options that
+/// shape the compiled plan. Run-time knobs are not in [`PlanOptions`], so
+/// queries differing only in them share one entry.
+type PlanKey = (Omq, VersionScope, PlanOptions);
 
 const POISONED: &str = "plan cache poisoned";
 
@@ -566,8 +567,8 @@ pub struct Answer {
 /// )?;
 /// ```
 ///
-/// This is the one entry point the legacy `answer*` convenience methods
-/// (and the HTTP front end) all funnel through.
+/// [`BdiSystem::serve`] is the one read entry point; the HTTP front end
+/// funnels through it too.
 #[derive(Debug, Clone)]
 pub struct AnswerRequest {
     query: QueryText,
@@ -810,52 +811,14 @@ impl BdiSystem {
         Ok(rewrite::rewrite(&self.ontology, query)?)
     }
 
-    /// Parses (Code 3 template), rewrites and executes a SPARQL OMQ.
-    /// Convenience for [`BdiSystem::serve`] with an
-    /// [`AnswerRequest::sparql`] request.
-    pub fn answer(&self, sparql: &str) -> Result<Answer, SystemError> {
-        self.serve(AnswerRequest::sparql(sparql))
-    }
-
-    /// Rewrites and executes an already-built OMQ over all versions.
-    /// Convenience for [`BdiSystem::serve`] with an
-    /// [`AnswerRequest::omq`] request.
-    pub fn answer_omq(&self, omq: Omq) -> Result<Answer, SystemError> {
-        self.serve(AnswerRequest::omq(omq))
-    }
-
-    /// Rewrites and executes an OMQ, keeping only walks whose wrappers all
-    /// fall inside `scope` — e.g. `VersionScope::Latest` for
-    /// most-recent-schema answers, or `UpToRelease(n)` for historical
-    /// point-in-time answers. Convenience for [`BdiSystem::serve`].
-    pub fn answer_scoped(&self, omq: Omq, scope: &VersionScope) -> Result<Answer, SystemError> {
-        self.serve(AnswerRequest::omq(omq).scope(scope.clone()))
-    }
-
-    /// Rewrites and executes an OMQ with explicit [`ExecOptions`].
-    /// Convenience for [`BdiSystem::serve`]; see there for caching and
-    /// concurrency behaviour.
-    pub fn answer_with(
-        &self,
-        omq: Omq,
-        scope: &VersionScope,
-        options: &ExecOptions,
-    ) -> Result<Answer, SystemError> {
-        self.serve(
-            AnswerRequest::omq(omq)
-                .scope(scope.clone())
-                .options(options.clone()),
-        )
-    }
-
     /// Executes one [`AnswerRequest`] — the single entry point every query
-    /// takes (the `answer*` conveniences and the HTTP front end all build a
-    /// request and call this). Takes `&self` and is safe to call from many
-    /// threads at once: concurrent callers share compiled plans through the
-    /// sharded cache but never an execution lock.
+    /// takes (the HTTP front end builds a request and calls this too).
+    /// Takes `&self` and is safe to call from many threads at once:
+    /// concurrent callers share compiled plans through the sharded cache
+    /// but never an execution lock.
     ///
     /// Repeated queries skip the rewriting-to-plan pipeline entirely: the
-    /// compiled form is cached under `(OMQ, scope, options)` and stays
+    /// compiled form is cached under `(OMQ, scope, PlanOptions)` and stays
     /// valid until the next [`BdiSystem::register_release`] (or other
     /// visible metadata change). With [`ExecOptions::reuse_scans`] the
     /// query also checks a persistent [`ExecContext`] out of the system's
@@ -872,30 +835,7 @@ impl BdiSystem {
             QueryText::Omq(omq) => omq,
         };
         self.cache.ensure_valid(self.cache_validity());
-        // Normalize the key to the plan-shaping options: `cache_plans` and
-        // `reuse_scans` steer *this* method, and `semijoin_max_keys` /
-        // `bloom_semijoins` / `scan_cache` / `deadline` /
-        // `on_source_failure` / `max_rows` steer only the executor — never
-        // the compiled plan — so queries differing only in them share one
-        // cache entry (and each execution reads those knobs from the
-        // caller's options, below). The rest stay in the key: `engine`,
-        // `pushdown`, `parallel`, `filters`, and `cost_based_joins` all
-        // shape the compiled plan. `cargo xtask analyze` enforces that
-        // every ExecOptions field is classified one way or the other
-        // (normalized-out fields are ledgered in
-        // analysis/normalized_out.txt; in-key fields must be named here).
-        let key_options = ExecOptions {
-            cache_plans: true,
-            reuse_scans: false,
-            semijoin_max_keys: bdi_relational::plan::DEFAULT_SEMIJOIN_MAX_KEYS,
-            bloom_semijoins: true,
-            scan_cache: bdi_relational::ScanCache::Auto,
-            deadline: None,
-            on_source_failure: exec::SourceFailurePolicy::Fail,
-            max_rows: None,
-            ..options.clone()
-        };
-        let key = (omq, scope, key_options);
+        let key = (omq, scope, PlanOptions::from(&options));
         let (cached, at_epoch) = if options.cache_plans {
             self.cache.lookup(&key)
         } else {
@@ -904,7 +844,7 @@ impl BdiSystem {
         let compiled = match cached {
             Some(compiled) => compiled,
             None => {
-                let (omq, scope, key_options) = &key;
+                let (omq, scope, plan_options) = &key;
                 let mut rewriting = rewrite::rewrite(&self.ontology, omq.clone())?;
                 if !matches!(scope, VersionScope::All) {
                     let allowed = self.wrappers_in_scope(scope);
@@ -920,7 +860,7 @@ impl BdiSystem {
                     &self.ontology,
                     &self.registry,
                     rewriting,
-                    key_options,
+                    plan_options.clone(),
                 )?);
                 self.cache.record_compile(compiled.plan_notes());
                 if options.cache_plans {

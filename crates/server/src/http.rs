@@ -169,22 +169,25 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Writes one JSON response. Head and body leave in a single `write_all`:
+/// with two writes on a socket without `TCP_NODELAY`, Nagle's algorithm
+/// holds the body back until the peer's delayed ACK, stalling back-to-back
+/// keep-alive requests by tens of milliseconds.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
         status,
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
+        body,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -205,12 +208,13 @@ pub mod client {
     ) -> io::Result<(u16, String)> {
         let mut stream = TcpStream::connect(addr)?;
         let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        // One write for head and body, for the reason given on
+        // `write_response`.
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len(),
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
+        stream.write_all(request.as_bytes())?;
         stream.flush()?;
 
         let mut raw = Vec::new();
@@ -252,5 +256,36 @@ pub mod client {
         let parsed = serde_json::from_str(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         Ok((status, parsed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records the bytes of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_head_and_body_leave_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 200, r#"{"ok":true}"#, true).expect("in-memory write");
+        let expected: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+            Content-Length: 11\r\nConnection: keep-alive\r\n\r\n{\"ok\":true}";
+        assert_eq!(out.writes, [expected]);
     }
 }

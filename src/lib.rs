@@ -13,11 +13,14 @@
 //!
 //! ```
 //! use bdi::core::supersede;
+//! use bdi::core::system::AnswerRequest;
 //!
 //! // Build the paper's running example (SUPERSEDE) and run the exemplary
 //! // query: for each applicationId, all lagRatio instances (Table 2).
 //! let system = supersede::build_running_example();
-//! let result = system.answer(&supersede::exemplary_query()).unwrap();
+//! let result = system
+//!     .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+//!     .unwrap();
 //! assert_eq!(result.relation.len(), 3);
 //! ```
 //!

@@ -3,10 +3,11 @@
 //! the cached plans and the persistent scan context, and answers are
 //! identical cached or not — with and without `reuse_scans`.
 
-use bdi::core::exec::{Engine, ExecOptions, FeatureFilter};
-use bdi::core::system::VersionScope;
-use bdi::relational::{Predicate, Value};
+use bdi::core::exec::{Engine, ExecOptions, FeatureFilter, SourceFailurePolicy};
+use bdi::core::system::{AnswerRequest, VersionScope};
+use bdi::relational::{Predicate, ScanCache, Value};
 use bdi_bench::synthetic;
+use std::time::Duration;
 
 fn rows(n: usize, with_next: bool) -> Vec<Vec<Value>> {
     (0..n)
@@ -32,7 +33,7 @@ fn repeated_queries_hit_the_plan_cache() {
     let system = system(2, 2);
     let options = ExecOptions::default();
     let first = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options.clone()))
         .unwrap();
     let stats = system.plan_cache_stats();
     assert_eq!(stats.misses, 1);
@@ -40,7 +41,7 @@ fn repeated_queries_hit_the_plan_cache() {
     assert_eq!(stats.entries, 1);
 
     let second = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options.clone()))
         .unwrap();
     let stats = system.plan_cache_stats();
     assert_eq!(stats.hits, 1);
@@ -49,24 +50,50 @@ fn repeated_queries_hit_the_plan_cache() {
     assert_eq!(first.walk_exprs, second.walk_exprs);
     assert_eq!(first.rewriting.walks.len(), second.rewriting.walks.len());
 
-    // A different scope, option set or query is a different entry.
+    // A different scope, query or value of any PlanOptions field is a
+    // different entry.
     system
-        .answer_with(synthetic::chain_query(2), &VersionScope::Latest, &options)
-        .unwrap();
-    system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
-                pushdown: false,
-                ..ExecOptions::default()
-            },
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2))
+                .scope(VersionScope::Latest)
+                .options(options.clone()),
         )
         .unwrap();
     system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
-    assert_eq!(system.plan_cache_stats().entries, 4);
+    assert_eq!(system.plan_cache_stats().entries, 3);
+    let plan_variants = [
+        ExecOptions {
+            engine: Engine::Eager,
+            ..options.clone()
+        },
+        ExecOptions {
+            pushdown: false,
+            ..options.clone()
+        },
+        ExecOptions {
+            parallel: false,
+            ..options.clone()
+        },
+        ExecOptions {
+            filters: vec![FeatureFilter::new(
+                synthetic::chain_data_feature(1),
+                Predicate::between(0.0, 5.0),
+            )],
+            ..options.clone()
+        },
+        ExecOptions {
+            cost_based_joins: false,
+            ..options.clone()
+        },
+    ];
+    for (i, variant) in plan_variants.into_iter().enumerate() {
+        system
+            .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(variant))
+            .unwrap();
+        assert_eq!(system.plan_cache_stats().entries, 4 + i);
+    }
 
     // Opting out compiles fresh every time and caches nothing new.
     let opt_out = ExecOptions {
@@ -75,7 +102,7 @@ fn repeated_queries_hit_the_plan_cache() {
     };
     let before = system.plan_cache_stats();
     let uncached = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &opt_out)
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(opt_out.clone()))
         .unwrap();
     assert_eq!(uncached.relation, first.relation);
     let after = system.plan_cache_stats();
@@ -96,7 +123,7 @@ fn register_release_invalidates_plans_and_scans() {
         ..ExecOptions::default()
     };
     let before = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &reuse)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(reuse.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().entries, 1);
     assert_eq!(before.rewriting.walks.len(), 2);
@@ -109,7 +136,7 @@ fn register_release_invalidates_plans_and_scans() {
     // …and the next answer sees the new wrapper's rows (a fresh context —
     // no stale interned scans) under a recompiled three-walk rewriting.
     let after = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &reuse)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(reuse.clone()))
         .unwrap();
     assert_eq!(after.rewriting.walks.len(), 3);
     assert!(after.relation.len() >= before.relation.len());
@@ -124,7 +151,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     let wrapper = synthetic::register_extra_chain_wrapper_handle(&mut sys, 1, 2, rows(5, false));
     let options = ExecOptions::default(); // reuse_scans: true
     let before = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     let baseline = sys.plan_cache_stats();
     assert_eq!(baseline.entries, 1);
@@ -137,7 +164,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
         .push(vec![Value::Int(99), Value::Float(9.9)])
         .unwrap();
     let after = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     let stats = sys.plan_cache_stats();
     assert_eq!(stats.misses, baseline.misses + 1);
@@ -152,7 +179,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     assert_eq!(sys.context_stats().cached_scans, scans_before + 1);
 
     // Repeats without further mutation hit the recompiled plan again.
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().hits, baseline.hits + 1);
 }
@@ -162,9 +189,9 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     use bdi::rdf::model::{GraphName, Iri, Quad};
     let sys = system(1, 1);
     let options = ExecOptions::default();
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().hits, 1);
 
@@ -183,7 +210,7 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     assert_eq!(sys.ontology().store().len(), len_before);
 
     let misses_before = sys.plan_cache_stats().misses;
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().misses, misses_before + 1); // recompiled
 }
@@ -191,19 +218,49 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
 #[test]
 fn execution_only_options_share_one_cache_entry() {
     let sys = system(1, 2);
-    for reuse_scans in [false, true, false] {
-        let options = ExecOptions {
-            reuse_scans,
-            ..ExecOptions::default()
-        };
-        sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    let base = ExecOptions::default();
+    // Each run-time field (every ExecOptions field outside PlanOptions
+    // except cache_plans, which bypasses the cache) moved off its default.
+    let variants = [
+        base.clone(),
+        ExecOptions {
+            deadline: Some(Duration::from_secs(60)),
+            ..base.clone()
+        },
+        ExecOptions {
+            max_rows: Some(1),
+            ..base.clone()
+        },
+        ExecOptions {
+            on_source_failure: SourceFailurePolicy::Degrade,
+            ..base.clone()
+        },
+        ExecOptions {
+            semijoin_max_keys: 0,
+            ..base.clone()
+        },
+        ExecOptions {
+            bloom_semijoins: false,
+            ..base.clone()
+        },
+        ExecOptions {
+            scan_cache: ScanCache::Never,
+            ..base.clone()
+        },
+        ExecOptions {
+            reuse_scans: false,
+            ..base.clone()
+        },
+    ];
+    for options in &variants {
+        sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
             .unwrap();
     }
-    // reuse_scans (and cache_plans) don't shape the plan: one entry, two hits.
+    // None of them shapes the plan: one entry, compiled once.
     let stats = sys.plan_cache_stats();
     assert_eq!(stats.entries, 1);
     assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 2);
+    assert_eq!(stats.hits, variants.len() as u64 - 1);
 }
 
 #[test]
@@ -222,11 +279,7 @@ fn cached_and_uncached_answers_agree_on_filtered_queries() {
         ..ExecOptions::default()
     };
     let reference = sys
-        .answer_with(
-            synthetic::chain_query_with_id(2),
-            &VersionScope::All,
-            &eager,
-        )
+        .serve(AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(eager.clone()))
         .unwrap();
     for reuse_scans in [false, true] {
         let options = ExecOptions {
@@ -238,10 +291,8 @@ fn cached_and_uncached_answers_agree_on_filtered_queries() {
         // reuse_scans, the cached interned scans).
         for _ in 0..2 {
             let answer = sys
-                .answer_with(
-                    synthetic::chain_query_with_id(2),
-                    &VersionScope::All,
-                    &options,
+                .serve(
+                    AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(options.clone()),
                 )
                 .unwrap();
             assert_eq!(answer.relation.rows(), reference.relation.rows());

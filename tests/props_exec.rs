@@ -9,7 +9,7 @@
 //! full-residue path of a source that claims no filters at all.
 
 use bdi::core::exec::{self, Engine, ExecOptions, FeatureFilter};
-use bdi::core::system::VersionScope;
+use bdi::core::system::{AnswerRequest, VersionScope};
 use bdi::relational::plan::{Bound, ColumnFilter, Predicate, ScanCache};
 use bdi::relational::{PlanSource, Relation, RelationError, ScanRequest, SourceResolver, Value};
 use bdi_bench::synthetic;
@@ -290,25 +290,21 @@ fn filtered_join_build_side_flip_is_order_stable() {
         Value::Int(1),
     )];
     let reference = system
-        .answer_with(
-            synthetic::chain_query_with_id(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(ExecOptions {
                 filters: filters.clone(),
                 ..eager()
-            },
+            }),
         )
         .unwrap();
     assert_eq!(reference.relation.len(), 4); // 2 filtered w1 rows × 2 w2 rows
     for pushdown in [true, false] {
         let streamed = system
-            .answer_with(
-                synthetic::chain_query_with_id(2),
-                &VersionScope::All,
-                &ExecOptions {
+            .serve(
+                AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(ExecOptions {
                     filters: filters.clone(),
                     ..streaming(pushdown, false)
-                },
+                }),
             )
             .unwrap();
         assert_eq!(streamed.relation.rows(), reference.relation.rows());
@@ -340,11 +336,7 @@ fn empty_in_set_selects_nothing() {
         },
     ] {
         let answer = system
-            .answer_with(
-                synthetic::chain_query_with_id(1),
-                &VersionScope::All,
-                &options,
-            )
+            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(options.clone()))
             .unwrap();
         assert!(answer.relation.is_empty());
     }
@@ -381,23 +373,19 @@ fn nan_and_signed_zero_range_bounds_agree_across_engines() {
             predicate.clone(),
         )];
         let reference = system
-            .answer_with(
-                synthetic::chain_query(1),
-                &VersionScope::All,
-                &ExecOptions {
+            .serve(
+                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
                     filters: filters.clone(),
                     ..eager()
-                },
+                }),
             )
             .unwrap();
         let streamed = system
-            .answer_with(
-                synthetic::chain_query(1),
-                &VersionScope::All,
-                &ExecOptions {
+            .serve(
+                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
                     filters,
                     ..streaming(true, false)
-                },
+                }),
             )
             .unwrap();
         assert_eq!(
@@ -433,16 +421,12 @@ proptest! {
         let scope = scope_for(scope_seed, upto, concepts, wrappers, &system);
 
         let reference = system
-            .answer_with(synthetic::chain_query(concepts), &scope, &eager())
+            .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).scope(scope.clone()).options(eager()))
             .unwrap();
 
         for (pushdown, parallel) in [(true, true), (true, false), (false, true), (false, false)] {
             let streamed = system
-                .answer_with(
-                    synthetic::chain_query(concepts),
-                    &scope,
-                    &streaming(pushdown, parallel),
-                )
+                .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).scope(scope.clone()).options(streaming(pushdown, parallel)))
                 .unwrap();
             // Byte-identical: same schema, same rows, same order.
             prop_assert!(
@@ -478,22 +462,24 @@ proptest! {
         // reference. Batch size is an ExecContext knob, so this goes
         // through compile/execute with an explicit context.
         let all_scope_reference = system
-            .answer_with(synthetic::chain_query(concepts), &VersionScope::All, &eager())
+            .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).options(eager()))
             .unwrap();
+        let options = streaming(true, true);
         let compiled = exec::compile_query(
             system.ontology(),
             system.registry(),
             system.rewrite(synthetic::chain_query(concepts)).unwrap(),
-            &streaming(true, true),
+            &options,
         )
         .unwrap();
         for batch_rows in [1usize, 3, 1 << 20] {
             let ctx = bdi::relational::ExecContext::new().with_scan_batch_rows(batch_rows);
-            let streamed = exec::execute_compiled(
+            let streamed = exec::execute_compiled_with(
                 system.ontology(),
                 system.registry(),
                 &compiled,
                 Some(&ctx),
+                options.runtime(),
             )
             .unwrap();
             prop_assert!(
@@ -531,22 +517,14 @@ proptest! {
         }
 
         let reference = system
-            .answer_with(
-                synthetic::chain_query_with_id(concepts),
-                &scope,
-                &ExecOptions { filters: filters.clone(), ..eager() },
-            )
+            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(concepts)).scope(scope.clone()).options(ExecOptions { filters: filters.clone(), ..eager() }))
             .unwrap();
         for (pushdown, parallel) in [(true, true), (true, false), (false, false)] {
             let streamed = system
-                .answer_with(
-                    synthetic::chain_query_with_id(concepts),
-                    &scope,
-                    &ExecOptions {
+                .serve(AnswerRequest::omq(synthetic::chain_query_with_id(concepts)).scope(scope.clone()).options(ExecOptions {
                         filters: filters.clone(),
                         ..streaming(pushdown, parallel)
-                    },
-                )
+                    }))
                 .unwrap();
             prop_assert!(
                 streamed.relation.rows() == reference.relation.rows(),
@@ -586,20 +564,16 @@ proptest! {
     ) {
         let system = build_system(concepts, wrappers, &data);
         let reference = system
-            .answer_with(synthetic::chain_query(concepts), &VersionScope::All, &eager())
+            .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).options(eager()))
             .unwrap();
         for max_keys in [0usize, 1, 8, usize::MAX] {
             for scan_cache in [ScanCache::Always, ScanCache::Never] {
                 let streamed = system
-                    .answer_with(
-                        synthetic::chain_query(concepts),
-                        &VersionScope::All,
-                        &ExecOptions {
+                    .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).options(ExecOptions {
                             semijoin_max_keys: max_keys,
                             scan_cache,
                             ..streaming(true, parallel)
-                        },
-                    )
+                        }))
                     .unwrap();
                 prop_assert!(
                     streamed.relation.rows() == reference.relation.rows(),
@@ -759,18 +733,16 @@ fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
         }
     });
     let reference = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &eager())
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(eager()))
         .unwrap();
     assert!(!reference.relation.rows().is_empty());
 
     let bloom = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 semijoin_max_keys: 8,
                 ..streaming(true, false)
-            },
+            }),
         )
         .unwrap();
     assert_eq!(bloom.relation.rows(), reference.relation.rows());
@@ -781,27 +753,23 @@ fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
     );
 
     let in_set = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 semijoin_max_keys: usize::MAX,
                 ..streaming(true, false)
-            },
+            }),
         )
         .unwrap();
     assert_eq!(in_set.relation.rows(), reference.relation.rows());
     assert!(system.planner_stats().semijoin_insets >= 1);
 
     let disabled = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 semijoin_max_keys: 8,
                 bloom_semijoins: false,
                 ..streaming(true, false)
-            },
+            }),
         )
         .unwrap();
     assert_eq!(disabled.relation.rows(), reference.relation.rows());
@@ -833,24 +801,20 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
         Predicate::range(None, None),
     )];
     let reference = system
-        .answer_with(
-            synthetic::chain_query(3),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
                 filters: filters.clone(),
                 ..eager()
-            },
+            }),
         )
         .unwrap();
 
     let ordered = system
-        .answer_with(
-            synthetic::chain_query(3),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
                 filters: filters.clone(),
                 ..streaming(true, false)
-            },
+            }),
         )
         .unwrap();
     assert_eq!(ordered.relation.rows(), reference.relation.rows());
@@ -864,14 +828,12 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
     assert_eq!(note.actual_rows, Some(ordered.relation.len() as u64));
 
     let syntactic = system
-        .answer_with(
-            synthetic::chain_query(3),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
                 filters,
                 cost_based_joins: false,
                 ..streaming(true, false)
-            },
+            }),
         )
         .unwrap();
     assert_eq!(syntactic.relation.rows(), reference.relation.rows());
@@ -924,23 +886,19 @@ fn data_version_bump_refreshes_sketches() {
         Predicate::in_set([Value::Int(1), Value::Int(7)]),
     )];
     let reference = system
-        .answer_with(
-            synthetic::chain_query_with_id(1),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(ExecOptions {
                 filters: filters.clone(),
                 ..eager()
-            },
+            }),
         )
         .unwrap();
     let streamed = system
-        .answer_with(
-            synthetic::chain_query_with_id(1),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(ExecOptions {
                 filters,
                 ..streaming(true, false)
-            },
+            }),
         )
         .unwrap();
     assert_eq!(streamed.relation.rows(), reference.relation.rows());
