@@ -714,8 +714,8 @@ fn main() {
     let remote_retry_overhead = remote_fault_ns / remote_overlap_ns;
 
     // ---- Contended-callers workload: 4 threads answering the same cached
-    // plan through `serve` at once. The sharded plan cache (lock-free
-    // validity check, per-shard locks) and the context pool let the callers
+    // plan through `serve` at once. The sharded plan cache (per-entry
+    // stamps, per-shard locks) and the context pool let the callers
     // run in parallel; the baseline funnels every call through one global
     // mutex — the convoy the old single-`Mutex<ExecCache>` imposed on
     // concurrent callers. On a single-CPU host both shapes serialize anyway

@@ -7,24 +7,19 @@
 //! the op is encoded, appended to the WAL and **fsynced before** it
 //! touches any in-memory state, so a mutation is acknowledged if and only
 //! if it is on stable storage. [`DurableSystem::checkpoint`] writes a
-//! [`DurableImage`] (the deployment snapshot *plus* every cache-validity
-//! counter) via tmp-file → fsync → atomic rename, then truncates the log;
-//! [`DurableSystem::open`] loads the image, restores the counters
-//! bit-exact, and replays only the log records with `seq` greater than
-//! the image's — exactly-once replay even when a crash landed between the
-//! snapshot rename and the log truncation.
+//! [`DurableImage`] (the deployment snapshot and the WAL seq it covers)
+//! via tmp-file → fsync → atomic rename, then truncates the log;
+//! [`DurableSystem::open`] loads the image and replays only the log
+//! records with `seq` greater than the image's — exactly-once replay even
+//! when a crash landed between the snapshot rename and the log truncation.
 //!
-//! # Counter restoration
+//! # Version counters
 //!
-//! The plan/scan-cache validity scheme hangs off monotonic counters
-//! (`QuadStore::mutation_count`, `DocStore::collection_version`,
-//! `TableWrapper::data_version`). A reboot that restarted them at 0 would
-//! let a stamp taken before the crash collide with a *different*
-//! post-restart state. Recovery therefore restores the persisted values
-//! first and then replays through the normal bump paths; since replayed
-//! ops bump exactly as the originals did, the recovered counters equal
-//! the pre-crash ones — and "equal counter ⇒ equal contents" survives the
-//! process boundary.
+//! The stores' monotonic counters (`QuadStore::mutation_count`,
+//! `DocStore::collection_version`, `TableWrapper::data_version`) stamp
+//! cached plans and scans, and are not persisted. Every cache starts empty
+//! when a deployment opens, so no stamp taken before a restart survives it
+//! to be compared with the restarted counters.
 //!
 //! # Poisoning
 //!
@@ -43,7 +38,6 @@ use bdi_rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
 use bdi_wrappers::spec::{json_to_value, value_to_json};
 use bdi_wrappers::{Wrapper, WrapperError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -94,8 +88,9 @@ pub enum DurableError {
     UnknownWrapper(String),
 }
 
-/// The persisted image: the deployment snapshot plus everything the
-/// cache-validity scheme needs restored bit-exact.
+/// The persisted image: the deployment snapshot and the WAL seq it covers.
+/// Images written with the store counters that earlier versions persisted
+/// still open: unknown keys are ignored.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DurableImage {
     /// Image format version (currently 1).
@@ -106,14 +101,6 @@ pub struct DurableImage {
     /// The deployment itself (ontology TriG, wrapper specs, collections,
     /// release log).
     pub snapshot: SystemSnapshot,
-    /// `QuadStore::mutation_count` at capture time.
-    pub quad_mutations: u64,
-    /// `DocStore::data_version` at capture time.
-    pub doc_data_version: u64,
-    /// Every collection's `DocStore::collection_version` at capture time.
-    pub collection_versions: BTreeMap<String, u64>,
-    /// Every table wrapper's `data_version` at capture time.
-    pub table_versions: BTreeMap<String, u64>,
 }
 
 /// What [`DurableSystem::open`] found and did while recovering.
@@ -211,9 +198,8 @@ pub struct DurableSystem {
 
 impl DurableSystem {
     /// Opens (or cold-starts) the durable deployment at `dir` on the real
-    /// filesystem: loads the snapshot image if one exists, restores every
-    /// cache-validity counter, replays the WAL's uncovered suffix, and
-    /// amputates any torn log tail.
+    /// filesystem: loads the snapshot image if one exists, replays the
+    /// WAL's uncovered suffix, and amputates any torn log tail.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, DurableError> {
         Self::open_with(dir, Arc::new(StdVfs))
     }
@@ -237,22 +223,6 @@ impl DurableSystem {
                     reason: format!("snapshot image: {e}"),
                 })?;
                 let (system, store) = crate::snapshot::restore(&image.snapshot)?;
-                // Counters first, replay second: the bumps replay performs
-                // on top of these exact values reproduce the pre-crash
-                // stamps (see the module docs).
-                system
-                    .ontology()
-                    .store()
-                    .restore_mutation_count(image.quad_mutations);
-                for (name, version) in &image.collection_versions {
-                    store.restore_collection_version(name, *version);
-                }
-                store.restore_data_version(image.doc_data_version);
-                for (name, version) in &image.table_versions {
-                    if let Some(table) = system.registry().get(name).and_then(|w| w.as_table()) {
-                        table.restore_data_version(*version);
-                    }
-                }
                 recovery.snapshot_loaded = true;
                 recovery.snapshot_seq = image.seq;
                 (system, store)
@@ -434,9 +404,9 @@ impl DurableSystem {
     }
 
     /// Applies a decoded op to the in-memory stores — shared by the live
-    /// write path and recovery replay, so both bump the same counters the
-    /// same way. Ops are validated *before* journaling, so apply errors
-    /// here mean a corrupt log or a registry that no longer matches it.
+    /// write path and recovery replay, so both apply it the same way. Ops
+    /// are validated *before* journaling, so apply errors here mean a
+    /// corrupt log or a registry that no longer matches it.
     fn apply_op(&self, op: &Op) -> Result<u64, DurableError> {
         match op {
             Op::InsertQuad { q } => {
@@ -620,18 +590,6 @@ impl DurableSystem {
             format: 1,
             seq,
             snapshot: crate::snapshot::snapshot(&self.system, &self.store)?,
-            quad_mutations: self.system.ontology().store().mutation_count(),
-            doc_data_version: self.store.data_version(),
-            collection_versions: self.store.collection_versions(),
-            table_versions: self
-                .system
-                .registry()
-                .iter()
-                .filter_map(|w| {
-                    w.as_table()
-                        .map(|t| (t.name().to_owned(), t.data_version()))
-                })
-                .collect(),
         };
         let bytes = serde_json::to_string_pretty(&image)
             .map(String::into_bytes)
@@ -885,8 +843,8 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_and_counters_survive_bit_exact() {
-        let dir = tmp("counters");
+    fn checkpoint_truncates_the_log_and_reopen_replays_only_the_tail() {
+        let dir = tmp("tail");
         let (system, store) = supersede::build_running_example_with_store();
         let durable = DurableSystem::create(&dir, system, store).unwrap();
         durable
@@ -897,24 +855,53 @@ mod tests {
         durable
             .insert_doc("c", serde_json::json!({"n": 2}))
             .unwrap();
-
-        let quad_muts = durable.system().ontology().store().mutation_count();
-        let doc_version = durable.store().data_version();
-        let coll_version = durable.store().collection_version("c");
-        let validity_sensitive = (quad_muts, doc_version, coll_version);
         drop(durable);
 
         let reopened = DurableSystem::open(&dir).unwrap();
         assert_eq!(reopened.recovery().replayed, 1); // only the post-checkpoint insert
-        assert_eq!(
-            (
-                reopened.system().ontology().store().mutation_count(),
-                reopened.store().data_version(),
-                reopened.store().collection_version("c"),
-            ),
-            validity_sensitive
-        );
         assert_eq!(reopened.store().count("c"), 2);
+        assert!(reopened
+            .system()
+            .ontology()
+            .store()
+            .contains(&probe_quad(1)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn image_with_the_legacy_counter_keys_still_opens() {
+        let dir = tmp("legacy-image");
+        let (system, store) = supersede::build_running_example_with_store();
+        let expected = system
+            .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+            .unwrap();
+        drop(DurableSystem::create(&dir, system, store).unwrap());
+
+        // Earlier images also carried the stores' version counters, under
+        // these four keys; the format number stayed 1.
+        let path = dir.join(SNAPSHOT_FILE);
+        let mut image: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let fields = image.as_object_mut().unwrap();
+        assert_eq!(fields.get("format"), Some(&serde_json::json!(1)));
+        fields.insert("quad_mutations".to_owned(), serde_json::json!(918));
+        fields.insert("doc_data_version".to_owned(), serde_json::json!(12));
+        fields.insert(
+            "collection_versions".to_owned(),
+            serde_json::json!({"vod": 7, "feedback": 5}),
+        );
+        fields.insert("table_versions".to_owned(), serde_json::json!({}));
+        std::fs::write(&path, serde_json::to_string_pretty(&image).unwrap()).unwrap();
+
+        let reopened = DurableSystem::open(&dir).unwrap();
+        assert!(reopened.recovery().snapshot_loaded);
+        assert_eq!(
+            reopened
+                .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+                .unwrap()
+                .relation,
+            expected.relation
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

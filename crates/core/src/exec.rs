@@ -359,10 +359,11 @@ pub struct PlanNote {
     /// Estimated output rows of the walk's join tree (`None` when the
     /// walk was planned syntactically without estimates).
     pub estimated_rows: Option<u64>,
-    /// Rows the walk actually contributed at run time: the answer's row
-    /// count for a single-walk query, the walk's novel (pre-merge) row
-    /// count for a multi-walk union. `None` until executed, and for walks
-    /// dropped by a degraded answer.
+    /// Rows the walk's plan actually produced at run time — for a
+    /// multi-walk union, counted before the union's shared dedup, so the
+    /// figure does not depend on which walk finished first and is the
+    /// quantity [`PlanNote::estimated_rows`] estimates. `None` until
+    /// executed, and for walks dropped by a degraded answer.
     pub actual_rows: Option<u64>,
 }
 
@@ -1260,8 +1261,8 @@ where
     // the all-distinct worst case, where the final sort used to dominate,
     // is exactly what this buys back.
     let global_seen = std::sync::Mutex::new(RowSet::new(schema.len()));
-    let mut runs: Vec<Vec<Tuple>> = Vec::with_capacity(plans.len());
-    runs.resize_with(plans.len(), Vec::new);
+    let mut runs: Vec<WalkRun> = Vec::with_capacity(plans.len());
+    runs.resize_with(plans.len(), WalkRun::default);
     let mut first_error: Option<(usize, PlanError)> = None;
     let record_error = |slot: &mut Option<(usize, PlanError)>, index: usize, e: PlanError| {
         if slot.as_ref().is_none_or(|(i, _)| index < *i) {
@@ -1272,11 +1273,11 @@ where
     // a query error; anything that is not a source failure still aborts.
     // The walk index rides along so its planner note keeps an unset actual.
     let mut dropped: Vec<(usize, SourceFailure)> = Vec::new();
-    let settle = |runs: &mut Vec<Vec<Tuple>>,
+    let settle = |runs: &mut Vec<WalkRun>,
                   first_error: &mut Option<(usize, PlanError)>,
                   dropped: &mut Vec<(usize, SourceFailure)>,
                   index: usize,
-                  result: Result<Vec<Tuple>, PlanError>| match result {
+                  result: Result<WalkRun, PlanError>| match result {
         Ok(run) => runs[index] = run,
         Err(e) => match source_failure_of(&e) {
             Some(failure) if degrade => dropped.push((index, failure)),
@@ -1304,7 +1305,7 @@ where
         // One message per walk; the channel is a completion queue, not a
         // row pipe — per-walk memory is bounded by that walk's distinct
         // output, which the merged answer holds anyway.
-        let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<Tuple>, PlanError>)>(workers);
+        let (tx, rx) = mpsc::sync_channel::<(usize, Result<WalkRun, PlanError>)>(workers);
         let ctx_ref = ctx;
         let src_ref = src;
         let plans_ref = &plans;
@@ -1343,19 +1344,22 @@ where
         return Err(e.into());
     }
 
-    // A multi-walk actual is the walk's *novel* (pre-merge) contribution:
-    // rows an earlier-finishing walk already claimed count for that walk,
-    // not this one. Dropped walks keep an unset actual.
+    // A multi-walk actual is what the walk's plan produced, before the
+    // shared dedup decided which walk a common row counts for. Dropped
+    // walks keep an unset actual.
     let mut plan_notes = compiled.plan_notes.clone();
     let dropped_walks: BTreeSet<usize> = dropped.iter().map(|(index, _)| *index).collect();
     for (index, note) in plan_notes.iter_mut().enumerate() {
         if !dropped_walks.contains(&index) {
-            note.actual_rows = Some(runs.get(index).map_or(0, Vec::len) as u64);
+            note.actual_rows = Some(runs.get(index).map_or(0, |run| run.produced));
         }
     }
 
     Ok(QueryAnswer {
-        relation: Relation::new(schema, merge_sorted_runs(runs))?,
+        relation: Relation::new(
+            schema,
+            merge_sorted_runs(runs.into_iter().map(|run| run.novel).collect()),
+        )?,
         walk_exprs,
         source_failures: aggregate_failures(dropped.into_iter().map(|(_, f)| f).collect()),
         plan_notes,
@@ -1363,11 +1367,21 @@ where
     })
 }
 
+/// One walk's share of a multi-walk union (see [`walk_sorted_run`]).
+#[derive(Default)]
+struct WalkRun {
+    /// The rows no other walk claimed first, decoded and sorted.
+    novel: Vec<Tuple>,
+    /// Every row the walk's plan produced, before any dedup.
+    produced: u64,
+}
+
 /// Runs one walk's plan to exhaustion, claiming each batch's rows against
 /// the cross-walk `global_seen` set — every duplicate, intra- or
 /// cross-walk, dies as a single `u32`-row hash probe before any value is
-/// decoded — and returns the walk's *novel* rows decoded and sorted: one
-/// sorted run of the streamed union. Batches are bounded, so the set is
+/// decoded — and returns the walk's *novel* rows decoded and sorted (one
+/// sorted run of the streamed union) with the count of rows its plan
+/// produced. Batches are bounded, so the set is
 /// locked in short holds (and the claim work it serializes is exactly what
 /// the previous design serialized on the coordinator thread). Interning
 /// canonicalizes `Value`-equal rows to identical ids, so id-disjoint runs
@@ -1387,16 +1401,18 @@ fn walk_sorted_run(
     policy: ExecPolicy,
     global_seen: &std::sync::Mutex<RowSet>,
     claim_late: bool,
-) -> Result<Vec<Tuple>, PlanError> {
+) -> Result<WalkRun, PlanError> {
     let arity = walk_plan.schema().len();
     let mut op = Operator::new(walk_plan, ctx, src, policy);
     let mut novel: Vec<u32> = Vec::new();
     let mut count = 0usize;
+    let mut produced = 0u64;
     if claim_late {
         let mut local_seen = RowSet::new(arity);
         let mut staged: Vec<u32> = Vec::new();
         let mut staged_count = 0usize;
         while let Some(batch) = op.next_batch()? {
+            produced += batch.len() as u64;
             for row in batch.rows() {
                 if local_seen.insert(row) {
                     staged.extend_from_slice(row);
@@ -1416,6 +1432,7 @@ fn walk_sorted_run(
         }
     } else {
         while let Some(batch) = op.next_batch()? {
+            produced += batch.len() as u64;
             let mut seen = global_seen.lock().expect("union dedup set poisoned");
             for row in batch.rows() {
                 if seen.insert(row) {
@@ -1437,7 +1454,10 @@ fn walk_sorted_run(
         start = end;
     }
     rows.sort_unstable();
-    Ok(rows)
+    Ok(WalkRun {
+        novel: rows,
+        produced,
+    })
 }
 
 /// K-way merge of the per-walk sorted runs into the canonical sorted set

@@ -7,12 +7,15 @@
 //! Query answering is **shared-read**: [`BdiSystem::serve`] takes `&self`,
 //! and concurrent callers do not convoy behind a single lock. The compiled
 //! plan cache is sharded by key hash (each shard its own mutex, held only
-//! for a lookup or insert), the validity stamp is checked lock-free through
-//! an atomic tag, and each query that reuses scans checks a persistent
-//! [`ExecContext`] out of a pool instead of sharing one context — readers
-//! proceed against immutable shared state while mutation installs a new
-//! validity epoch (the snapshot-read discipline of the NVRAM tree
-//! literature; see PAPERS.md).
+//! for a lookup or insert), and each query that reuses scans checks a
+//! persistent [`ExecContext`] out of a pool instead of sharing one context.
+//! Every cached plan carries the stamp it was compiled under (the
+//! ontology's mutation count and the wrappers' data-version sum) and is
+//! served only while the system's current stamp still equals it, the
+//! version-stamped read discipline of the NVRAM tree literature (see
+//! PAPERS.md). A plan compiled while the system changed can therefore
+//! never answer a later query, and no flush ordering is left to reason
+//! about.
 
 use crate::exec::{
     self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanOptions, QueryAnswer, SourceFailure,
@@ -89,43 +92,30 @@ const PLAN_SHARD_ENTRIES: usize = PLAN_CACHE_ENTRIES / PLAN_SHARDS;
 /// retired instead (its peaks fold into the lifetime counters).
 const CTX_POOL_IDLE: usize = 16;
 
-/// What the compiled-plan cache (and the persistent contexts) are valid
-/// against: the release log length (bumped by every
-/// [`BdiSystem::register_release`]), the ontology store's monotonic
-/// mutation stamp (catching direct [`BdiSystem::ontology_mut`] edits,
-/// including count-neutral remove+insert pairs), and the registry's
-/// **capability fingerprint** — a hash of every wrapper's
-/// [`claims_filter`](bdi_wrappers::Wrapper::claims_filter) answers
-/// ([`bdi_wrappers::WrapperRegistry::capabilities_fingerprint`]). Plans
-/// depend on the ontology and wrapper *capabilities* (claims decide the
-/// pushed-vs-residual filter split compiled into each plan) — never on
-/// wrapper data — plus, fourth, the registry's **stats epoch**
-/// ([`bdi_wrappers::WrapperRegistry::stats_epoch`], a digest of every
-/// wrapper's `data_version`): since cost-based join ordering compiles
-/// sketch-derived estimates *into* the plan shape, a wrapper-data mutation
-/// must recompile plans even though their answers would still be correct
-/// (only possibly slower).
+/// What a cached plan was compiled against: the ontology store's
+/// [`mutation_count`](bdi_rdf::QuadStore::mutation_count) (catching every
+/// ontology edit, count-neutral remove+insert pairs included) and
+/// [`WrapperRegistry::data_version_sum`]. Both are monotonic, so an
+/// unchanged pair means nothing a plan depends on moved: the rewriting
+/// reads the ontology, and cost-based join ordering compiles
+/// sketch-derived estimates — keyed by each wrapper's `data_version` —
+/// into the plan shape. Wrapper claims cannot move under a plan: they are
+/// fixed for a wrapper's lifetime (the
+/// [`claims_filter`](bdi_wrappers::Wrapper::claims_filter) contract), and
+/// the registry and release log change only through `&mut self` methods
+/// ([`BdiSystem::register_release`], [`BdiSystem::set_release_log`]),
+/// which clear the cache outright.
 ///
-/// The two halves invalidate differently ([`ExecCache::ensure_valid`]): a
-/// change in the leading triple flushes the plans **and** retires the
-/// pooled contexts, while a stats-epoch-only change flushes just the
-/// plans — every cached scan is keyed by its wrapper's live
-/// [`data_version`](bdi_wrappers::Wrapper::data_version) at scan time, so a
-/// mutation makes the stale entry unreachable and the next query re-scans
-/// just the mutated wrapper — sibling wrappers' (and sibling docstore
-/// collections') cached scans survive. Stale entries age out through each
-/// context's LRU caps, and the value-cap watermark retires a context whose
-/// pool has outgrown its bound ([`BdiSystem::set_context_value_cap`] — the
-/// context-retirement tier). This is what lets
-/// [`ExecOptions::reuse_scans`] default on without one wrapper's appends
-/// flushing every other wrapper's interned scans.
-///
-/// Changes to the leading triple only happen through `&mut self` methods,
-/// so they can never race an in-flight `&self` query; a stats-epoch change
-/// *can* race one (wrapper data mutates through shared handles), but that
-/// race is performance-only — answers stay correct through the
-/// `data_version` keying one level down.
-type CacheValidity = (usize, u64, u64, u64);
+/// The stamp is read before a plan is rewritten and stored with it;
+/// [`ExecCache::lookup`] hits only when the stored stamp equals the current
+/// one. A wrapper-data change therefore recompiles plans but keeps the
+/// pooled contexts: every cached scan is keyed by its wrapper's live
+/// `data_version` at scan time, so only the mutated wrapper re-scans and
+/// sibling wrappers' (and sibling docstore collections') cached scans
+/// survive. An ontology edit also retires the pooled contexts
+/// ([`CtxPool::checkout`]). The counters are not persisted: every cache
+/// starts empty when a deployment opens, so no stamp outlives a process.
+type Stamp = (u64, u64);
 
 /// Default watermark on each pooled context's interned-value pool; past it
 /// the context is retired when checked back in (see
@@ -139,15 +129,6 @@ type PlanKey = (Omq, VersionScope, PlanOptions);
 
 const POISONED: &str = "plan cache poisoned";
 
-/// The atomic tag a [`CacheValidity`] publishes: a mix-hash of the 4-tuple
-/// (two of whose components are already u64 hashes, so this adds no new
-/// collision class). `0` is reserved as the never-valid initial tag.
-fn validity_tag(validity: &CacheValidity) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    validity.hash(&mut hasher);
-    hasher.finish().max(1)
-}
-
 fn shard_of(key: &PlanKey) -> usize {
     let mut hasher = DefaultHasher::new();
     key.hash(&mut hasher);
@@ -158,7 +139,14 @@ fn shard_of(key: &PlanKey) -> usize {
 #[derive(Default)]
 struct PlanShard {
     tick: u64,
-    plans: HashMap<PlanKey, (Arc<CompiledQuery>, u64)>,
+    plans: HashMap<PlanKey, CachedPlan>,
+}
+
+/// A compiled query, the [`Stamp`] it was compiled under and its LRU tick.
+struct CachedPlan {
+    compiled: Arc<CompiledQuery>,
+    stamp: Stamp,
+    last_used: u64,
 }
 
 /// The pool of persistent execution contexts. A query that reuses scans
@@ -175,6 +163,9 @@ struct CtxPool {
     /// older generation is retired when it returns instead of rejoining the
     /// idle list.
     generation: u64,
+    /// The highest ontology mutation count a checkout has seen; a checkout
+    /// under a later one retires every context first.
+    ontology_count: u64,
     idle: Vec<Arc<ExecContext>>,
     /// Every non-retired context (idle or checked out), for stats
     /// aggregation. Dead weaks are pruned opportunistically.
@@ -191,11 +182,12 @@ struct CtxPool {
     retired_semijoin_blooms: u64,
 }
 
-impl CtxPool {
-    fn new(value_cap: usize) -> Self {
+impl Default for CtxPool {
+    fn default() -> Self {
         Self {
-            value_cap,
+            value_cap: DEFAULT_CTX_VALUE_CAP,
             generation: 0,
+            ontology_count: 0,
             idle: Vec::new(),
             live: Vec::new(),
             retired_peak_values: 0,
@@ -204,7 +196,9 @@ impl CtxPool {
             retired_semijoin_blooms: 0,
         }
     }
+}
 
+impl CtxPool {
     /// Folds a retiring context's peaks and counters into the lifetime
     /// totals and forgets it.
     fn retire(&mut self, ctx: &Arc<ExecContext>) {
@@ -226,7 +220,15 @@ impl CtxPool {
         }
     }
 
-    fn checkout(&mut self) -> (Arc<ExecContext>, u64) {
+    /// Hands out an idle context, or a fresh one. A checkout under a
+    /// later `ontology_count` than any before retires every context first:
+    /// an ontology edit may reshape what the walks scan, so the interned
+    /// scans and build sides of the old ontology are dropped with it.
+    fn checkout(&mut self, ontology_count: u64) -> (Arc<ExecContext>, u64) {
+        if ontology_count > self.ontology_count {
+            self.ontology_count = ontology_count;
+            self.retire_all();
+        }
         let ctx = self.idle.pop().unwrap_or_else(|| {
             let ctx = Arc::new(ExecContext::new().with_value_cap(self.value_cap));
             self.live.push(Arc::downgrade(&ctx));
@@ -287,48 +289,21 @@ impl Drop for PooledCtx<'_> {
 
 /// Cross-query compiled-plan cache + pooled persistent execution contexts.
 ///
-/// Concurrency shape: the validity stamp is published as an atomic tag, so
-/// the common case — nothing changed since the last query — is a single
-/// atomic load with no lock. The plan map is sharded ([`PLAN_SHARDS`]
-/// mutexes, each held only for one lookup/insert, never during rewriting,
+/// Concurrency shape: the plan map is sharded ([`PLAN_SHARDS`] mutexes,
+/// each held only for one lookup/insert, never during rewriting,
 /// compilation or execution), counters are atomics, and contexts come from
 /// a pool ([`CtxPool`]) so no two in-flight queries share mutable state.
-/// Flushes bump an epoch *before* clearing the shards; an insert re-checks
-/// the epoch under its shard lock and drops the plan if a flush slipped in
-/// while it compiled.
+/// Validity needs no coordination of its own: each entry carries its
+/// [`Stamp`], and a lookup compares it with the caller's.
+#[derive(Default)]
 struct ExecCache {
-    /// Tag of the validity the cache currently reflects (0 = never valid).
-    validity_tag: AtomicU64,
-    /// Bumped on every flush; plan inserts are stamped with the epoch read
-    /// at lookup time and discarded if it moved.
-    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Fresh compiles by planning kind (cache hits don't recount).
     cost_based_plans: AtomicU64,
     syntactic_plans: AtomicU64,
-    /// The full validity tuple behind the tag, for the core-vs-stats flush
-    /// decision. Locked only while flushing.
-    flush: Mutex<CacheValidity>,
     shards: [Mutex<PlanShard>; PLAN_SHARDS],
     pool: Mutex<CtxPool>,
-}
-
-impl Default for ExecCache {
-    fn default() -> Self {
-        Self {
-            validity_tag: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            cost_based_plans: AtomicU64::new(0),
-            syntactic_plans: AtomicU64::new(0),
-            // Never matches a real validity → first use flushes.
-            flush: Mutex::new((usize::MAX, u64::MAX, u64::MAX, u64::MAX)),
-            shards: std::array::from_fn(|_| Mutex::new(PlanShard::default())),
-            pool: Mutex::new(CtxPool::new(DEFAULT_CTX_VALUE_CAP)),
-        }
-    }
 }
 
 impl std::fmt::Debug for ExecCache {
@@ -347,106 +322,82 @@ impl std::fmt::Debug for ExecCache {
 }
 
 impl ExecCache {
-    /// Brings the cache up to `validity`. The fast path — the tag already
-    /// matches — is one atomic load. On a mismatch, a change in the leading
-    /// triple (release registered, ontology edited, wrapper capabilities
-    /// moved) flushes the plans and retires the pooled contexts; a
-    /// **stats-epoch-only** change — wrapper data mutated — flushes just
-    /// the plans: cost-based join orders compiled from the old sketches may
-    /// no longer be the cheapest, but each context's cached scans are keyed
-    /// by live `data_version` one level down and stay valid for every
-    /// unmutated sibling wrapper.
-    fn ensure_valid(&self, validity: CacheValidity) {
-        let tag = validity_tag(&validity);
-        if self.validity_tag.load(Ordering::Acquire) == tag {
-            return;
-        }
-        self.flush_to(validity, tag, false);
-    }
-
-    /// Unconditionally flushes plans and retires contexts — for `&mut self`
-    /// mutations ([`BdiSystem::register_release`],
-    /// [`BdiSystem::set_release_log`]) whose effect may not register in the
-    /// validity tuple (e.g. a restored release log of the same length).
-    fn invalidate(&self, validity: CacheValidity) {
-        self.flush_to(validity, validity_tag(&validity), true);
-    }
-
-    fn flush_to(&self, validity: CacheValidity, tag: u64, force_retire: bool) {
-        let mut current = self.flush.lock().expect(POISONED);
-        if !force_retire && *current == validity {
-            // Another caller installed this validity while we waited.
-            self.validity_tag.store(tag, Ordering::Release);
-            return;
-        }
-        let core_changed = force_retire
-            || (current.0, current.1, current.2) != (validity.0, validity.1, validity.2);
-        *current = validity;
-        // Epoch first, then clear: an insert that read the old epoch either
-        // lands before its shard is cleared (and is cleared with it) or
-        // re-reads the bumped epoch under its shard lock and drops itself.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        for shard in &self.shards {
-            shard.lock().expect(POISONED).plans.clear();
-        }
-        if core_changed {
-            self.pool.lock().expect(POISONED).retire_all();
-        }
-        self.validity_tag.store(tag, Ordering::Release);
-    }
-
-    /// The cached compiled query for `key`, if present, plus the flush
-    /// epoch the lookup ran under (to stamp a later insert). The caller
-    /// must have called [`ExecCache::ensure_valid`] first.
-    fn lookup(&self, key: &PlanKey) -> (Option<Arc<CompiledQuery>>, u64) {
-        let epoch = self.epoch.load(Ordering::Acquire);
+    /// The cached compiled query for `key`, if one was compiled under
+    /// `stamp` (the system's current [`Stamp`]).
+    fn lookup(&self, key: &PlanKey, stamp: Stamp) -> Option<Arc<CompiledQuery>> {
         let hit = {
             let mut shard = self.shards[shard_of(key)].lock().expect(POISONED);
             shard.tick += 1;
             let tick = shard.tick;
-            shard.plans.get_mut(key).map(|(compiled, last_used)| {
-                *last_used = tick;
-                compiled.clone()
-            })
+            shard
+                .plans
+                .get_mut(key)
+                .filter(|entry| entry.stamp == stamp)
+                .map(|entry| {
+                    entry.last_used = tick;
+                    entry.compiled.clone()
+                })
         };
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        (hit, epoch)
+        hit
     }
 
-    /// Inserts a freshly compiled query, evicting the shard's
+    /// Inserts a query compiled under `stamp`, evicting the shard's
     /// least-recently-hit entry at capacity. Racing compilers of the same
-    /// key both insert; the loser's entry simply replaces an identical one.
-    /// A flush that slipped in while compiling (epoch moved past
-    /// `at_epoch`) discards the plan instead — it was compiled against a
-    /// superseded system state.
-    fn insert(&self, at_epoch: u64, key: PlanKey, compiled: Arc<CompiledQuery>) {
+    /// key both insert; the later insert replaces the earlier one, and
+    /// whichever stamp it carries decides which callers it serves.
+    fn insert(&self, key: PlanKey, compiled: Arc<CompiledQuery>, stamp: Stamp) {
         let mut shard = self.shards[shard_of(&key)].lock().expect(POISONED);
-        if self.epoch.load(Ordering::Acquire) != at_epoch {
-            return;
-        }
         if shard.plans.len() >= PLAN_SHARD_ENTRIES && !shard.plans.contains_key(&key) {
             if let Some(oldest) = shard
                 .plans
                 .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
+                .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(k, _)| k.clone())
             {
                 shard.plans.remove(&oldest);
             }
         }
         shard.tick += 1;
-        let tick = shard.tick;
-        shard.plans.insert(key, (compiled, tick));
+        let last_used = shard.tick;
+        shard.plans.insert(
+            key,
+            CachedPlan {
+                compiled,
+                stamp,
+                last_used,
+            },
+        );
     }
 
-    /// Checks a persistent context out of the pool; the guard returns it on
-    /// drop.
-    fn checkout(&self) -> PooledCtx<'_> {
-        let (ctx, generation) = self.pool.lock().expect(POISONED).checkout();
+    /// Entries compiled under `stamp`.
+    fn entries(&self, stamp: Stamp) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().expect(POISONED);
+                shard.plans.values().filter(|e| e.stamp == stamp).count()
+            })
+            .sum()
+    }
+
+    /// Drops every plan and retires every pooled context — for the
+    /// `&mut self` mutations that change the registry or the release log.
+    fn clear(&mut self) {
+        for shard in &mut self.shards {
+            shard.get_mut().expect(POISONED).plans.clear();
+        }
+        self.pool.get_mut().expect(POISONED).retire_all();
+    }
+
+    /// Checks a persistent context out of the pool under the ontology
+    /// mutation count `ontology_count`; the guard returns it on drop.
+    fn checkout(&self, ontology_count: u64) -> PooledCtx<'_> {
+        let (ctx, generation) = self.pool.lock().expect(POISONED).checkout(ontology_count);
         PooledCtx {
             pool: &self.pool,
             generation,
@@ -642,8 +593,7 @@ impl BdiSystem {
 
     /// Opens (or cold-starts) a *durable* deployment persisted at `dir` —
     /// a convenience for [`crate::durable::DurableSystem::open`], which
-    /// recovers the snapshot image, replays the WAL and restores every
-    /// cache-validity counter bit-exact.
+    /// recovers the snapshot image and replays the WAL.
     pub fn open(
         dir: impl AsRef<std::path::Path>,
     ) -> Result<crate::durable::DurableSystem, crate::durable::DurableError> {
@@ -670,16 +620,11 @@ impl BdiSystem {
         }
     }
 
-    /// The cache validity stamp for the system's current state: release
-    /// seq, ontology mutation stamp, the registry's wrapper-capability
-    /// fingerprint, and the registry's stats epoch (see [`CacheValidity`]
-    /// for how the halves invalidate differently).
-    fn cache_validity(&self) -> CacheValidity {
+    /// The system's current [`Stamp`].
+    fn stamp(&self) -> Stamp {
         (
-            self.release_log.len(),
             self.ontology.store().mutation_count(),
-            self.registry.capabilities_fingerprint(),
-            self.registry.stats_epoch(),
+            self.registry.data_version_sum(),
         )
     }
 
@@ -696,10 +641,9 @@ impl BdiSystem {
     }
 
     /// Applies Algorithm 1 for a new release and registers its wrapper.
-    /// Every registration bumps the release sequence, which invalidates the
-    /// cross-query plan cache and retires the pooled execution contexts —
-    /// the new wrapper changes what queries rewrite to, and its data was
-    /// never scanned.
+    /// Every registration clears the cross-query plan cache and retires the
+    /// pooled execution contexts — the new wrapper changes what queries
+    /// rewrite to, and its data was never scanned.
     pub fn register_release(&mut self, release: Release) -> Result<ReleaseStats, SystemError> {
         let stats = release::apply_release(&self.ontology, &mut self.registry, release)?;
         self.release_log.push(ReleaseLogEntry {
@@ -707,7 +651,7 @@ impl BdiSystem {
             wrapper: stats.wrapper.clone(),
             source: stats.source.clone(),
         });
-        self.cache.invalidate(self.cache_validity());
+        self.cache.clear();
         Ok(stats)
     }
 
@@ -720,20 +664,15 @@ impl BdiSystem {
     /// deployment whose log must survive verbatim.
     pub fn set_release_log(&mut self, log: Vec<ReleaseLogEntry>) {
         self.release_log = log;
-        self.cache.invalidate(self.cache_validity());
+        self.cache.clear();
     }
 
-    /// Plan-cache counters (entries reflect the current validity window;
+    /// Plan-cache counters (entries counts the plans valid at the system's
+    /// current ontology mutation count and wrapper data versions;
     /// hits/misses accumulate over the system's lifetime).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let entries = self
-            .cache
-            .shards
-            .iter()
-            .map(|shard| shard.lock().expect(POISONED).plans.len())
-            .sum();
         PlanCacheStats {
-            entries,
+            entries: self.cache.entries(self.stamp()),
             hits: self.cache.hits.load(Ordering::Relaxed),
             misses: self.cache.misses.load(Ordering::Relaxed),
         }
@@ -818,12 +757,12 @@ impl BdiSystem {
     /// but never an execution lock.
     ///
     /// Repeated queries skip the rewriting-to-plan pipeline entirely: the
-    /// compiled form is cached under `(OMQ, scope, PlanOptions)` and stays
-    /// valid until the next [`BdiSystem::register_release`] (or other
-    /// visible metadata change). With [`ExecOptions::reuse_scans`] the
-    /// query also checks a persistent [`ExecContext`] out of the system's
-    /// pool, carrying interned wrapper scans and join build sides across
-    /// queries within that validity window.
+    /// compiled form is cached under `(OMQ, scope, PlanOptions)` and is
+    /// served while neither the ontology nor any wrapper's data has changed
+    /// and no release has been registered since. With [`ExecOptions::reuse_scans`] the query
+    /// also checks a persistent [`ExecContext`] out of the system's pool,
+    /// carrying interned wrapper scans and join build sides across queries
+    /// until the next ontology edit or release.
     pub fn serve(&self, request: AnswerRequest) -> Result<Answer, SystemError> {
         let AnswerRequest {
             query,
@@ -834,12 +773,14 @@ impl BdiSystem {
             QueryText::Sparql(text) => Omq::parse(&text, self.ontology.prefixes())?,
             QueryText::Omq(omq) => omq,
         };
-        self.cache.ensure_valid(self.cache_validity());
+        // Read before rewriting: a plan compiled while the system changes
+        // carries the older stamp and can never be served afterwards.
+        let stamp = self.stamp();
         let key = (omq, scope, PlanOptions::from(&options));
-        let (cached, at_epoch) = if options.cache_plans {
-            self.cache.lookup(&key)
+        let cached = if options.cache_plans {
+            self.cache.lookup(&key, stamp)
         } else {
-            (None, 0)
+            None
         };
         let compiled = match cached {
             Some(compiled) => compiled,
@@ -864,7 +805,7 @@ impl BdiSystem {
                 )?);
                 self.cache.record_compile(compiled.plan_notes());
                 if options.cache_plans {
-                    self.cache.insert(at_epoch, key.clone(), compiled.clone());
+                    self.cache.insert(key.clone(), compiled.clone(), stamp);
                 }
                 compiled
             }
@@ -872,7 +813,7 @@ impl BdiSystem {
         // A context from the pool (checked back in when `pooled` drops,
         // including on error), or none: `reuse_scans: false` executes
         // against a fresh private context inside the executor.
-        let pooled = options.reuse_scans.then(|| self.cache.checkout());
+        let pooled = options.reuse_scans.then(|| self.cache.checkout(stamp.0));
         let QueryAnswer {
             relation,
             walk_exprs,

@@ -4,7 +4,6 @@ use crate::pipeline::{Pipeline, PipelineError};
 use parking_lot::RwLock;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Errors raised by store operations.
@@ -76,11 +75,6 @@ impl Collection {
 #[derive(Debug, Default, Clone)]
 pub struct DocStore {
     collections: Arc<RwLock<BTreeMap<String, Collection>>>,
-    /// Bumped by every mutation ([`DocStore::insert`],
-    /// [`DocStore::insert_many`], [`DocStore::clear`], [`DocStore::restore`]) —
-    /// shared by clones, surfaced as [`DocStore::data_version`] so wrappers
-    /// over this store can stamp their scans.
-    version: Arc<AtomicU64>,
 }
 
 impl DocStore {
@@ -88,20 +82,12 @@ impl DocStore {
         Self::default()
     }
 
-    /// Monotonic *store-wide* data-generation counter: any value change
-    /// means some collection's documents changed since the smaller value
-    /// was observed. This is the summed coarse stamp for consumers that
-    /// watch the whole store; wrappers over a single collection key their
-    /// scan caches on the finer [`DocStore::collection_version`] instead,
-    /// so one collection's inserts never invalidate siblings' cached scans.
-    pub fn data_version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
     /// Monotonic data-generation counter of one collection (`0` if and
     /// only if it does not exist yet — creation always bumps, even through
     /// an empty [`DocStore::insert_many`]). Mutations to *other*
-    /// collections never move it.
+    /// collections never move it, so wrappers over one collection key
+    /// their scan caches on it without one collection's inserts
+    /// invalidating siblings' cached scans.
     pub fn collection_version(&self, collection: &str) -> u64 {
         self.collections
             .read()
@@ -110,47 +96,14 @@ impl DocStore {
             .unwrap_or(0)
     }
 
-    fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// Every collection's data-generation counter, keyed by name — the
-    /// persistence image of the fine-grained cache stamps.
-    pub fn collection_versions(&self) -> BTreeMap<String, u64> {
-        self.collections
-            .read()
-            .iter()
-            .map(|(name, coll)| (name.clone(), coll.version))
-            .collect()
-    }
-
-    /// Overwrites one collection's data-generation counter — recovery
-    /// only. Creates the collection (empty) if absent, so a restored
-    /// counter is never silently attached to nothing. Without this, a
-    /// rebooted store would restart every counter near 0 and a scan cached
-    /// before the restart could validate against different post-restart
-    /// contents.
-    pub fn restore_collection_version(&self, collection: &str, version: u64) {
-        let mut guard = self.collections.write();
-        guard.entry(collection.to_owned()).or_default().version = version;
-    }
-
-    /// Overwrites the store-wide data-generation counter — recovery only
-    /// (see [`DocStore::restore_collection_version`]).
-    pub fn restore_data_version(&self, version: u64) {
-        self.version.store(version, Ordering::Release);
-    }
-
     /// Inserts a document, creating the collection if needed.
     pub fn insert(&self, collection: &str, doc: Value) -> Result<(), StoreError> {
         let mut guard = self.collections.write();
-        let result = guard.entry(collection.to_owned()).or_default().insert(doc);
-        drop(guard);
-        // Bump on every write access, success or not: a rejected document
-        // may still have created its (empty) collection, and a spurious
-        // bump only costs a cache re-scan, never correctness.
-        self.bump_version();
-        result
+        // The collection's version bumps on every write access, success or
+        // not: a rejected document may still have created its (empty)
+        // collection, and a spurious bump only costs a cache re-scan, never
+        // correctness.
+        guard.entry(collection.to_owned()).or_default().insert(doc)
     }
 
     /// Inserts many documents. On a rejected document the preceding ones
@@ -177,8 +130,6 @@ impl DocStore {
             }
             n += 1;
         }
-        drop(guard);
-        self.bump_version();
         result.map(|()| n)
     }
 
@@ -270,8 +221,6 @@ impl DocStore {
             }
             None => 0,
         };
-        drop(guard);
-        self.bump_version();
         n
     }
 }
@@ -367,25 +316,25 @@ mod tests {
     }
 
     #[test]
-    fn mutations_bump_the_shared_data_version() {
+    fn mutations_bump_the_shared_collection_version() {
         let store = DocStore::new();
         let view = store.clone();
-        let v0 = store.data_version();
+        let v0 = store.collection_version("c");
         store.insert("c", json!({"a": 1})).unwrap();
-        let v1 = view.data_version(); // clones share the counter
+        let v1 = view.collection_version("c"); // clones share the counter
         assert!(v1 > v0);
         store
             .insert_many("c", vec![json!({"a": 2}), json!({"a": 3})])
             .unwrap();
-        let v2 = store.data_version();
+        let v2 = store.collection_version("c");
         assert!(v2 > v1);
         store.clear("c");
-        assert!(store.data_version() > v2);
+        assert!(store.collection_version("c") > v2);
         // Reads don't bump.
-        let v3 = store.data_version();
+        let v3 = store.collection_version("c");
         let _ = store.count("c");
         let _ = store.docs_chunk("c", 0, 10);
-        assert_eq!(store.data_version(), v3);
+        assert_eq!(store.collection_version("c"), v3);
     }
 
     #[test]
@@ -397,12 +346,10 @@ mod tests {
         let (a1, b1) = (store.collection_version("a"), store.collection_version("b"));
         assert!(a1 > 0 && b1 > 0);
         // Mutating `b` moves only `b`'s counter — `a`'s cached scans stay
-        // keyed valid — while the store-wide stamp still observes it.
-        let store_wide = store.data_version();
+        // keyed valid.
         store.insert("b", json!({"y": 2})).unwrap();
         assert_eq!(store.collection_version("a"), a1);
         assert!(store.collection_version("b") > b1);
-        assert!(store.data_version() > store_wide);
         // Clears and rejected inserts also count as writes to their target.
         store.clear("b");
         assert!(store.collection_version("b") > b1 + 1);

@@ -376,16 +376,6 @@ impl QuadStore {
             .fetch_add(by, std::sync::atomic::Ordering::Release);
     }
 
-    /// Overwrites the mutation stamp — recovery only. A freshly booted
-    /// store restarts counting at 0, so a cache stamp taken before a
-    /// restart could collide with a different post-restart state; restoring
-    /// the persisted count before replay keeps the stamp's "equal ⇒
-    /// identical contents" guarantee across process lifetimes.
-    pub fn restore_mutation_count(&self, count: u64) {
-        self.mutations
-            .store(count, std::sync::atomic::Ordering::Release);
-    }
-
     /// Inserts a triple into the given graph.
     pub fn insert_in(
         &self,

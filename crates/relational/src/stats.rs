@@ -105,10 +105,10 @@ impl BloomFilter {
         filter
     }
 
-    /// The canonical probe filter used when fingerprinting a source's
-    /// claim surface (see `probe_claims_fingerprint` in the wrappers
-    /// crate): a fixed single-key filter, so the probe — and therefore
-    /// the fingerprint — is deterministic.
+    /// The canonical filter the planner asks a source to claim before it
+    /// counts on a Bloom semi-join reduction of that source's scan: a fixed
+    /// single-key filter, so the question — and, under the
+    /// `claims_filter` contract, its answer — never varies.
     pub fn claims_probe() -> Self {
         Self::from_values(&[Value::Int(0)])
     }

@@ -68,10 +68,6 @@ pub struct JsonWrapper {
     store: DocStore,
     collection: String,
     pipeline: Pipeline,
-    /// Capability fingerprint, computed once — this wrapper's claims
-    /// depend only on its immutable schema (column presence, dotted
-    /// names) and the predicate shape.
-    claims_fp: u64,
     /// Memoized column sketches, keyed by the [`Wrapper::data_version`]
     /// they were built at. Unlike [`crate::TableWrapper`], this wrapper
     /// does not own its write path (the [`DocStore`] does), so sketches
@@ -117,20 +113,15 @@ impl JsonWrapper {
                 }
             }
         }
-        let mut wrapper = Self {
+        Ok(Self {
             name,
             source: source.into(),
             schema,
             store,
             collection: collection.into(),
             pipeline,
-            claims_fp: 0,
             stats: Mutex::new(JsonStatsState::default()),
-        };
-        wrapper.claims_fp = crate::wrapper::probe_claims_fingerprint(&wrapper.schema, |f| {
-            Wrapper::claims_filter(&wrapper, f)
-        });
-        Ok(wrapper)
+        })
     }
 
     /// The backing collection's name.
@@ -450,11 +441,6 @@ impl Wrapper for JsonWrapper {
         } else {
             None
         }
-    }
-
-    /// Construction-time probe hash (claims never change at run time).
-    fn claims_fingerprint(&self) -> u64 {
-        self.claims_fp
     }
 
     /// Per-column sketches over the pipeline's *output* rows, rebuilt

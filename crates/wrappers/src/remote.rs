@@ -598,7 +598,6 @@ pub struct RemoteWrapper {
     retry: RetryPolicy,
     queue_pages: usize,
     stats: Arc<SharedRetryStats>,
-    claims_fp: u64,
 }
 
 impl RemoteWrapper {
@@ -610,9 +609,6 @@ impl RemoteWrapper {
         endpoint: Arc<SimulatedEndpoint>,
         retry: RetryPolicy,
     ) -> Self {
-        let claims_fp = crate::wrapper::probe_claims_fingerprint(endpoint.schema(), |f| {
-            !matches!(f.predicate, Predicate::Bloom(_))
-        });
         Self {
             name: name.into(),
             source: source.into(),
@@ -620,7 +616,6 @@ impl RemoteWrapper {
             retry,
             queue_pages: REMOTE_QUEUE_PAGES,
             stats: Arc::new(SharedRetryStats::default()),
-            claims_fp,
         }
     }
 
@@ -803,17 +798,12 @@ impl Wrapper for RemoteWrapper {
     }
 
     /// The endpoint translates every *value-listing* predicate kind into
-    /// query params, so those are all claimed (the fingerprint is
-    /// precomputed). Bloom filters are declined: a bit-set has no query-
-    /// string rendering, and shipping megabit filters over a paged wire
-    /// protocol would defeat their purpose — the mediator keeps them as
-    /// residues instead.
+    /// query params, so those are all claimed. Bloom filters are declined:
+    /// a bit-set has no query-string rendering, and shipping megabit
+    /// filters over a paged wire protocol would defeat their purpose — the
+    /// mediator keeps them as residues instead.
     fn claims_filter(&self, filter: &ColumnFilter) -> bool {
         !matches!(filter.predicate, Predicate::Bloom(_))
-    }
-
-    fn claims_fingerprint(&self) -> u64 {
-        self.claims_fp
     }
 
     fn retry_stats(&self) -> Option<RetryStats> {

@@ -66,9 +66,6 @@ pub struct TableWrapper {
     /// Bumped by every [`TableWrapper::push`] — the wrapper's
     /// [`Wrapper::data_version`].
     version: AtomicU64,
-    /// Capability fingerprint, computed once — this wrapper's claims
-    /// depend only on its immutable schema.
-    claims_fp: u64,
     /// Per-column sketches, maintained incrementally at write time.
     stats: Mutex<StatsState>,
     /// Multiplier applied to the published snapshot's row and distinct
@@ -91,23 +88,18 @@ impl TableWrapper {
         for row in &rows {
             builder.observe_row(row);
         }
-        let mut wrapper = Self {
+        Ok(Self {
             name: name.into(),
             source: source.into(),
             schema,
             rows: RwLock::new(rows),
             version: AtomicU64::new(0),
-            claims_fp: 0,
             stats: Mutex::new(StatsState {
                 builder,
                 cached: None,
             }),
             stats_distortion: None,
-        };
-        wrapper.claims_fp = crate::wrapper::probe_claims_fingerprint(&wrapper.schema, |f| {
-            Wrapper::claims_filter(&wrapper, f)
-        });
-        Ok(wrapper)
+        })
     }
 
     /// Makes [`Wrapper::column_stats`] publish deliberately wrong
@@ -142,19 +134,6 @@ impl TableWrapper {
         self.rows.write().push(row);
         self.version.fetch_add(1, Ordering::Release);
         Ok(())
-    }
-
-    /// Overwrites the data-version stamp — recovery only. Replayed pushes
-    /// bump normally, so a recovered wrapper whose counter starts from the
-    /// persisted value ends at exactly the pre-crash stamp; without this a
-    /// rebooted wrapper restarts at 0 and a scan cached before the restart
-    /// could validate against different post-restart rows.
-    pub fn restore_data_version(&self, version: u64) {
-        let mut stats = self.stats.lock();
-        self.version.store(version, Ordering::Release);
-        // Invalidate the memoized sketch snapshot: it is keyed by version,
-        // and the restored value may collide with the stale key.
-        stats.cached = None;
     }
 }
 
@@ -288,11 +267,6 @@ impl Wrapper for TableWrapper {
         let snapshot = Arc::new(snapshot);
         stats.cached = Some((version, Arc::clone(&snapshot)));
         Some(snapshot)
-    }
-
-    /// Construction-time probe hash (claims never change at run time).
-    fn claims_fingerprint(&self) -> u64 {
-        self.claims_fp
     }
 
     fn to_spec(&self) -> Option<crate::spec::WrapperSpec> {

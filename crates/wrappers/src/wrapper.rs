@@ -7,13 +7,11 @@
 //! ontology layer never talks to a source directly.
 
 use bdi_relational::plan::{
-    batches_from_relation, BatchIter, ColumnFilter, PlanSource, Predicate, ScanRequest,
+    batches_from_relation, BatchIter, ColumnFilter, PlanSource, ScanRequest,
 };
-use bdi_relational::{
-    BloomFilter, Relation, RelationError, Schema, SourceResolver, TableStats, Tuple, Value,
-};
+use bdi_relational::{Relation, RelationError, Schema, SourceResolver, TableStats, Tuple};
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Whether a source failure is worth retrying.
@@ -191,11 +189,12 @@ pub trait Wrapper: Send + Sync {
     /// Monotonic counter over the wrapper's *source data*: bumped by every
     /// mutation visible to [`Wrapper::scan`] (row appends, document
     /// inserts). The mediator folds it into its scan-cache keys and the
-    /// system's cache validity stamp, so persistent execution contexts
-    /// (`reuse_scans`-style reuse) can never serve rows scanned before a
-    /// mutation. The default (`0`, constant) declares the
-    /// data immutable between releases — only correct for wrapper kinds
-    /// whose data genuinely cannot change outside
+    /// system's plan-cache stamp (through
+    /// [`WrapperRegistry::data_version_sum`]), so persistent execution
+    /// contexts (`reuse_scans`-style reuse) can never serve rows scanned
+    /// before a mutation. It must never decrease. The default (`0`,
+    /// constant) declares the data immutable between releases — only
+    /// correct for wrapper kinds whose data genuinely cannot change outside
     /// [`crate::spec::WrapperSpec`]-level re-registration.
     fn data_version(&self) -> u64 {
         0
@@ -208,6 +207,12 @@ pub trait Wrapper: Send + Sync {
     /// answers — only where the work happens. The default claims
     /// everything, which is correct for any wrapper whose `scan_request`
     /// falls back to [`ScanRequest::apply`].
+    ///
+    /// Contract: the answer is a function of the filter and the wrapper's
+    /// schema, fixed for the wrapper's lifetime. Compiled plans bake the
+    /// pushed-vs-residual split in and are cached across queries, so a
+    /// wrapper whose capabilities change is a new wrapper: register it as
+    /// a new release.
     fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
         true
     }
@@ -238,23 +243,6 @@ pub trait Wrapper: Send + Sync {
         None
     }
 
-    /// A fingerprint of the wrapper's [`Wrapper::claims_filter`] answers:
-    /// every schema column probed with one canonical predicate per
-    /// [`Predicate`] kind (equality, IN-set, range) — see
-    /// [`probe_claims_fingerprint`]. The system folds it into the
-    /// plan-cache validity stamp, so a wrapper whose claim answers change
-    /// at run time invalidates compiled plans — whose residual filter
-    /// split was derived from the old answers. This default re-probes on
-    /// every call (correct for any claims behaviour); the built-in wrapper
-    /// kinds, whose claims depend only on their immutable schema and the
-    /// predicate shape, override it with a value computed once at
-    /// construction so the per-query validity stamp costs a load. Wrapper
-    /// kinds whose claims depend on predicate *values* beyond the
-    /// canonical probes should override this to reflect those dynamics.
-    fn claims_fingerprint(&self) -> u64 {
-        probe_claims_fingerprint(self.schema(), |filter| self.claims_filter(filter))
-    }
-
     /// The wrapper's serializable definition, when it has one (used by
     /// deployment snapshots). Defaults to `None` for wrapper kinds that
     /// cannot be persisted.
@@ -270,34 +258,13 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// Downcast to [`crate::TableWrapper`], when that is what this is.
-    /// The durability layer journals table-row pushes and restores
-    /// data-version stamps, both of which are `TableWrapper`-specific
-    /// operations it must reach through a registry of `dyn Wrapper`.
+    /// The durability layer journals table-row pushes, a
+    /// `TableWrapper`-specific operation it must reach through a registry
+    /// of `dyn Wrapper`.
     /// `None` — the default — for every other wrapper kind.
     fn as_table(&self) -> Option<&crate::TableWrapper> {
         None
     }
-}
-
-/// The probe-hash behind [`Wrapper::claims_fingerprint`]: every schema
-/// column × one canonical predicate per [`Predicate`] kind, hashed with the
-/// claim answer. Exposed so wrapper kinds with static claims can compute it
-/// once at construction instead of re-probing per query.
-pub fn probe_claims_fingerprint(schema: &Schema, claims: impl Fn(&ColumnFilter) -> bool) -> u64 {
-    let probes = [
-        Predicate::eq(0),
-        Predicate::in_set([Value::Int(0)]),
-        Predicate::between(0, 1),
-        Predicate::Bloom(BloomFilter::claims_probe()),
-    ];
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    for (column_index, column) in schema.names().iter().enumerate() {
-        for (kind, predicate) in probes.iter().enumerate() {
-            let claimed = claims(&ColumnFilter::new(*column, predicate.clone()));
-            (column_index, kind, claimed).hash(&mut hasher);
-        }
-    }
-    hasher.finish()
 }
 
 /// A shared, name-indexed set of wrappers. Implements
@@ -359,32 +326,16 @@ impl WrapperRegistry {
         total
     }
 
-    /// Order-independent combination of every wrapper's name and
-    /// [`Wrapper::claims_fingerprint`] — the registry-wide capability
-    /// fingerprint the system folds into its plan-cache validity stamp.
-    pub fn capabilities_fingerprint(&self) -> u64 {
-        self.wrappers.values().fold(0u64, |acc, w| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            w.name().hash(&mut hasher);
-            w.claims_fingerprint().hash(&mut hasher);
-            acc.wrapping_add(hasher.finish())
-        })
-    }
-
-    /// Order-independent combination of every wrapper's name and
-    /// [`Wrapper::data_version`] — the registry-wide *statistics epoch*.
-    /// Any data mutation in any wrapper changes it, and with it the
-    /// system's plan-cache validity stamp: cost-based plans are priced
-    /// against the wrappers' [`Wrapper::column_stats`] sketches, which are
-    /// keyed by those same versions, so a sketch refresh must recompile
-    /// the plans that consulted the stale sketch.
-    pub fn stats_epoch(&self) -> u64 {
-        self.wrappers.values().fold(0u64, |acc, w| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            w.name().hash(&mut hasher);
-            w.data_version().hash(&mut hasher);
-            acc.wrapping_add(hasher.finish())
-        })
+    /// The sum of every wrapper's [`Wrapper::data_version`]. Each term is
+    /// monotonic, so the sum moves whenever any wrapper's data does (and
+    /// the wrapper set itself changes only through `&mut self`). The system
+    /// stamps cached plans with it: cost-based plans are priced against the
+    /// wrappers' [`Wrapper::column_stats`] sketches, which are keyed by
+    /// those same versions.
+    pub fn data_version_sum(&self) -> u64 {
+        self.wrappers
+            .values()
+            .fold(0, |sum, w| sum.wrapping_add(w.data_version()))
     }
 }
 

@@ -159,3 +159,105 @@ fn pool_retires_contexts_after_release_between_concurrent_batches() {
     let second_misses = shared(&sys);
     assert!(second_misses >= 1);
 }
+
+/// Readers interleaved with writers: one writer appends rows to a table
+/// wrapper one at a time and, between appends, edits the ontology with a
+/// count-neutral insert+remove of a probe quad; four readers serve the
+/// chain query in a loop. A reader that saw `n` appends published before
+/// its `serve` must get at least those `n` rows back — no cached plan or
+/// scan from before an append may answer after it.
+#[test]
+fn readers_interleaved_with_writers_never_miss_a_published_row() {
+    use bdi::core::exec::Engine;
+    use bdi::rdf::model::{GraphName, Iri, Quad};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    const PUSHES: usize = 200;
+    const FIRST_PUSHED: f64 = 1000.0;
+    let mut sys = system(1, 1);
+    let table = synthetic::register_extra_chain_wrapper_handle(&mut sys, 1, 2, Vec::new());
+    let pushed_rows = |answer: &bdi::core::system::Answer| {
+        answer
+            .relation
+            .rows()
+            .iter()
+            .filter(|row| matches!(row[0], Value::Float(f) if f >= FIRST_PUSHED))
+            .count()
+    };
+    let probe = Quad::new(
+        Iri::new("http://example.org/interleave-probe"),
+        Iri::new("http://example.org/p"),
+        Iri::new("http://example.org/o"),
+        GraphName::Default,
+    );
+    let published = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    let reads = AtomicUsize::new(0);
+    let start = Barrier::new(5);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    let seen = published.load(Ordering::Acquire);
+                    let answer = sys
+                        .serve(AnswerRequest::omq(synthetic::chain_query(1)))
+                        .expect("reader answers");
+                    let got = pushed_rows(&answer);
+                    assert!(got >= seen, "published {seen} rows, answer has {got}");
+                    reads.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        start.wait();
+        // Bounds the writer's waits below, in case a reader died.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        for n in 0..PUSHES {
+            table
+                .push(vec![
+                    Value::Int(1000 + n as i64),
+                    Value::Float(FIRST_PUSHED + n as f64),
+                ])
+                .expect("push");
+            assert!(sys.ontology().store().insert(&probe));
+            assert!(sys.ontology().store().remove(&probe));
+            // Release pairs with the readers' Acquire load: a reader that
+            // sees `n + 1` also sees this push and its data_version bump.
+            published.store(n + 1, Ordering::Release);
+            // Let at least one read finish before the next write, so reads
+            // and writes interleave throughout.
+            let before = reads.load(Ordering::Acquire);
+            while reads.load(Ordering::Acquire) == before && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+
+    let eager = sys
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
+                engine: Engine::Eager,
+                ..ExecOptions::default()
+            }),
+        )
+        .expect("eager answers");
+    let mut expected = eager.relation.rows().to_vec();
+    expected.sort();
+    for _ in 0..2 {
+        let answer = sys
+            .serve(AnswerRequest::omq(synthetic::chain_query(1)))
+            .expect("final answer");
+        assert_eq!(pushed_rows(&answer), PUSHES);
+        let mut rows = answer.relation.rows().to_vec();
+        rows.sort();
+        assert_eq!(rows, expected);
+    }
+    let stats = sys.plan_cache_stats();
+    assert!(stats.hits > 0, "{stats:?}");
+    assert!(
+        reads.into_inner() >= PUSHES,
+        "reads did not overlap the writer"
+    );
+}

@@ -158,8 +158,9 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     let scans_before = sys.context_stats().cached_scans;
     assert_eq!(scans_before, 2); // one interned scan per wrapper
 
-    // A wrapper push moves the registry's stats epoch: cached plans were
-    // priced against the old sketches, so the next answer must recompile…
+    // A wrapper push moves the wrappers' data_version sum, half of the plan
+    // stamp: cached plans were priced against the old sketches, so the
+    // next answer must recompile…
     wrapper
         .push(vec![Value::Int(99), Value::Float(9.9)])
         .unwrap();

@@ -846,6 +846,40 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
     assert!(stats.syntactic_plans >= 1, "{stats:?}");
 }
 
+/// A multi-walk union whose walks all produce the same rows: each walk's
+/// `actual_rows` counts what its own plan produced, before the union's
+/// shared dedup, so the notes cannot depend on which parallel walk claimed
+/// a common row first.
+#[test]
+fn overlapping_walk_notes_repeat_across_parallel_runs() {
+    let system = synthetic::build_chain_system_with(2, 2, 0, |_, _, schema| {
+        (0..50)
+            .map(|r| {
+                let mut row = vec![Value::Int(r)];
+                if schema.index_of("next_id").is_some() {
+                    row.push(Value::Int(r));
+                }
+                row.push(Value::Float(r as f64 / 10.0));
+                row
+            })
+            .collect()
+    });
+    let notes = |parallel: bool| {
+        system
+            .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(streaming(true, parallel)))
+            .unwrap()
+            .plan_notes
+    };
+    let serial = notes(false);
+    assert_eq!(serial.len(), 4);
+    for note in &serial {
+        assert_eq!(note.actual_rows, Some(50), "{note:?}");
+    }
+    for run in 0..20 {
+        assert_eq!(notes(true), serial, "run {run}");
+    }
+}
+
 /// Mutate-then-requery: a wrapper push bumps `data_version`, the next
 /// `column_stats` call serves a *fresh* sketch keyed by the new version
 /// (never the stale one), and both engines see the new row.

@@ -76,10 +76,10 @@ fn wrapper_push_between_queries_is_never_served_stale() {
     }
 }
 
-/// A wrapper-data mutation flushes the compiled plans (the stats epoch is
-/// part of the validity stamp: cost-based join orders compile sketch
-/// estimates into the plan shape, so stale-sketch plans must not be served)
-/// — but between mutations, repeated queries still hit the cache.
+/// A wrapper-data mutation recompiles the cached plans (every wrapper's
+/// `data_version` is part of the plan stamp: cost-based join orders compile
+/// sketch estimates into the plan shape, so stale-sketch plans must not be
+/// served) — but between mutations, repeated queries still hit the cache.
 #[test]
 fn data_mutations_recompile_plans_against_fresh_sketches() {
     let (system, wrapper) = system_with_handle(rows(3));
@@ -229,7 +229,7 @@ fn docstore_insert_between_queries_is_never_served_stale() {
 }
 
 /// The unbounded-`ValuePool` fix: over *static* data (mutations already
-/// retire the context through the validity stamp), a long stream of
+/// re-scan through the per-scan `data_version` keys), a long stream of
 /// queries can still grow the shared pool without bound — each residual
 /// (source-declined) filter interns its constants; here, NaN-bearing
 /// IN-sets with a fresh member per query, which `JsonWrapper` never claims
@@ -464,129 +464,6 @@ fn semijoin_reduced_probe_scan_never_lands_in_the_reuse_cache() {
         .unwrap();
     assert_eq!(off.relation.rows(), reference.relation.rows());
     assert_eq!(system.context_stats().cached_scans, 2);
-}
-
-/// A wrapper whose `claims_filter` answers flip at run time: the
-/// capability fingerprint folds into the plan-cache validity stamp, so
-/// cached plans — whose pushed-vs-residual filter split was compiled
-/// against the old answers — are discarded, and the answers stay
-/// identical across the flip.
-#[test]
-fn capability_flips_recompile_cached_plans() {
-    use bdi::core::release::Release;
-    use bdi::core::vocab as core_vocab;
-    use bdi::rdf::model::{Iri, Triple};
-    use bdi::relational::plan::{ColumnFilter, ScanRequest};
-    use bdi::relational::{Relation, Schema};
-    use bdi::wrappers::{TableWrapper, Wrapper, WrapperError};
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    struct Moody {
-        inner: TableWrapper,
-        claiming: AtomicBool,
-    }
-
-    impl Wrapper for Moody {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-
-        fn source(&self) -> &str {
-            self.inner.source()
-        }
-
-        fn schema(&self) -> &Schema {
-            self.inner.schema()
-        }
-
-        fn scan(&self) -> Result<Relation, WrapperError> {
-            self.inner.scan()
-        }
-
-        fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-            self.inner.scan_request(request)
-        }
-
-        fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
-            self.claiming.load(Ordering::SeqCst)
-        }
-    }
-
-    let ns = "http://example.org/moody/";
-    let concept = Iri::new(format!("{ns}C"));
-    let feature = Iri::new(format!("{ns}val"));
-    let id_feature = Iri::new(format!("{ns}id"));
-    let mut system = BdiSystem::new();
-    {
-        let ontology = system.ontology();
-        ontology.add_concept(&concept);
-        ontology.add_id_feature(&id_feature);
-        ontology.attach_feature(&concept, &id_feature).unwrap();
-        ontology.add_feature(&feature);
-        ontology.attach_feature(&concept, &feature).unwrap();
-    }
-    let wrapper = Arc::new(Moody {
-        inner: TableWrapper::new(
-            "wm",
-            "DM",
-            Schema::from_parts(&["id"], &["val"]).unwrap(),
-            vec![
-                vec![Value::Int(1), Value::Float(1.5)],
-                vec![Value::Int(2), Value::Float(2.5)],
-            ],
-        )
-        .unwrap(),
-        claiming: AtomicBool::new(true),
-    });
-    let moody = wrapper.clone();
-    let has_feature = |f: &Iri| {
-        Triple::new(
-            concept.clone(),
-            (*core_vocab::g::HAS_FEATURE).clone(),
-            f.clone(),
-        )
-    };
-    let lav = vec![has_feature(&id_feature), has_feature(&feature)];
-    let mappings = BTreeMap::from([
-        ("id".to_owned(), id_feature.clone()),
-        ("val".to_owned(), feature.clone()),
-    ]);
-    system
-        .register_release(Release::new(wrapper, lav, mappings))
-        .unwrap();
-
-    let omq = bdi::core::omq::Omq::new(
-        vec![id_feature.clone(), feature.clone()],
-        vec![has_feature(&feature), has_feature(&id_feature)],
-    );
-    let options = ExecOptions {
-        filters: vec![FeatureFilter::eq(id_feature.clone(), Value::Int(2))],
-        ..ExecOptions::default()
-    };
-
-    let first = system
-        .serve(AnswerRequest::omq(omq.clone()).options(options.clone()))
-        .unwrap();
-    assert_eq!(first.relation.len(), 1);
-    let baseline = system.plan_cache_stats();
-    system
-        .serve(AnswerRequest::omq(omq.clone()).options(options.clone()))
-        .unwrap();
-    assert_eq!(system.plan_cache_stats().hits, baseline.hits + 1);
-
-    // The wrapper stops claiming filters: the fingerprint moves, the
-    // cached plan (which pushed the filter into the scan) is recompiled
-    // with a residual split — and the answer is unchanged.
-    moody.claiming.store(false, Ordering::SeqCst);
-    let after = system
-        .serve(AnswerRequest::omq(omq).options(options.clone()))
-        .unwrap();
-    assert_eq!(after.relation.rows(), first.relation.rows());
-    let stats = system.plan_cache_stats();
-    assert_eq!(stats.misses, baseline.misses + 1, "stale plan served");
-    assert_eq!(stats.hits, baseline.hits + 1);
 }
 
 // ---------------------------------------------------------------------------
