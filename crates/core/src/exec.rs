@@ -29,9 +29,9 @@
 //!   many walks are scanned and interned once, and hash-join build sides are
 //!   reused per ID attribute); each walk emits a deduplicated *sorted run*
 //!   and the runs are k-way merged into the canonical union. A single-walk
-//!   query prefetches its scans concurrently
-//!   ([`bdi_relational::plan::execute_plan_prefetched`]) so source reads
-//!   overlap each other and the join pipeline.
+//!   query warms its cold cache-destined scans concurrently
+//!   ([`bdi_relational::plan::execute_plan_prefetched_with`]) so source
+//!   reads overlap each other and the join pipeline.
 //! * **Eager** ([`Engine::Eager`]): the original §2.2 operator-at-a-time
 //!   evaluation through [`bdi_relational::RelExpr`] / [`ops`]. It stays as
 //!   the executable reference the streaming engine is differentially tested

@@ -47,8 +47,10 @@
 //! under short lock holds. [`PlanSource::data_version`] stamps each scan
 //! with the source's data generation — the [`ExecContext`] scan cache keys
 //! on it, so contexts reused across queries can never serve rows scanned
-//! before a source mutation. [`execute_plan_prefetched`] issues a plan's
-//! scans concurrently on scoped threads ahead of the pulling pipeline.
+//! before a source mutation. [`execute_plan_prefetched_with`] warms a
+//! plan's cold cache-destined scans concurrently on scoped threads ahead of
+//! the pulling pipeline; cursor-only scans open their cursor on the pulling
+//! thread, and only a source itself reads ahead of it.
 //!
 //! ## Runtime policy: semi-join sideways passing & cursor-only scans
 //!
@@ -89,7 +91,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -223,10 +224,9 @@ pub struct ExecPolicy {
     /// How scans materialize through the shared context (see [`ScanCache`]).
     pub scan_cache: ScanCache,
     /// Absolute wall-clock deadline for the execution. Checked at every
-    /// batch boundary (operator pulls, scan-cache fills, cursor pulls) and
-    /// while waiting on a queued prefetch feed, so a stalled or slow source
-    /// surfaces [`PlanError::DeadlineExceeded`] instead of hanging the
-    /// query. The worst-case overshoot is one source batch fetch — the
+    /// batch boundary (operator pulls, scan-cache fills, cursor pulls), so a
+    /// slow source surfaces [`PlanError::DeadlineExceeded`] instead of
+    /// hanging the query. The worst-case overshoot is one source batch fetch — the
     /// executor never cancels a fetch already in flight. `None` (the
     /// default) never times out.
     pub deadline: Option<Instant>,
@@ -1298,17 +1298,7 @@ pub struct ExecContext {
     semijoin_blooms: AtomicU64,
     scans: Mutex<HashMap<ScanKey, Stamped<ScanCell>>>,
     builds: Mutex<BuildCache>,
-    /// Bounded batch feeds registered by the prefetcher for cursor-routed
-    /// scans (see [`execute_plan_prefetched_with`]): the scan operator that
-    /// owns the matching request takes its feed here instead of opening a
-    /// second source cursor. Feeds are per-execution and always drained or
-    /// dropped before the prefetch scope joins.
-    queued: Mutex<HashMap<ScanKey, QueuedFeed>>,
 }
-
-/// The receiving end of a bounded queue of interned batches produced by a
-/// dedicated prefetch thread for one cursor-routed scan.
-type QueuedFeed = Receiver<Result<Batch, PlanError>>;
 
 /// `(scan, key column)` → stamped shared build index.
 type BuildCache = HashMap<(ScanKey, usize), Stamped<Arc<JoinIndex>>>;
@@ -1367,7 +1357,6 @@ impl ExecContext {
             semijoin_blooms: AtomicU64::new(0),
             scans: Mutex::new(HashMap::new()),
             builds: Mutex::new(HashMap::new()),
-            queued: Mutex::new(HashMap::new()),
         }
     }
 
@@ -1468,35 +1457,6 @@ impl ExecContext {
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Registers a prefetch feed for a cursor-routed scan. At most one feed
-    /// per key; a duplicate registration is dropped (its producer exits on
-    /// the first failed send).
-    fn offer_queued_scan(&self, key: ScanKey, feed: QueuedFeed) {
-        self.queued
-            .lock()
-            .expect("queued-scan registry poisoned")
-            .entry(key)
-            .or_insert(feed);
-    }
-
-    /// Claims the prefetch feed registered for a scan, if any. The feed
-    /// leaves the registry so exactly one operator consumes it.
-    fn take_queued_scan(&self, key: &ScanKey) -> Option<QueuedFeed> {
-        self.queued
-            .lock()
-            .expect("queued-scan registry poisoned")
-            .remove(key)
-    }
-
-    /// Drops any still-unclaimed feeds among `keys`, disconnecting their
-    /// producers (which would otherwise block forever on a full queue).
-    fn drop_queued_scans(&self, keys: &[ScanKey]) {
-        let mut queued = self.queued.lock().expect("queued-scan registry poisoned");
-        for key in keys {
-            queued.remove(key);
-        }
     }
 
     /// Interns one value-space scan batch into `into`, enforcing the
@@ -1811,9 +1771,9 @@ impl RowSet {
 // Operators
 // ---------------------------------------------------------------------------
 
-/// The cache/registry key of a scan against the source's *current* data
-/// version — the single place the key is assembled, shared by the scan
-/// cache, the warm check and the queued-feed registry.
+/// The cache key of a scan against the source's *current* data version —
+/// the single place the key is assembled, shared by the scan cache and the
+/// warm check.
 fn versioned_scan_key(source: &dyn PlanSource, name: &str, request: &ScanRequest) -> ScanKey {
     ScanKey {
         source: name.to_owned(),
@@ -2059,12 +2019,9 @@ enum ScanState<'r> {
     Cached { table: Arc<Batch>, cursor: usize },
     /// Cursor-only: interned batches pulled straight from the source, one
     /// at a time — nothing is cached, peak residency is one batch.
+    /// The cursor is opened on the pulling thread; a source that reads
+    /// ahead (a remote wrapper's pager) does so behind it.
     Cursor { batches: BatchIter<'r>, done: bool },
-    /// Cursor-only through a prefetch feed: a dedicated producer thread
-    /// pulls and interns source batches into a bounded queue
-    /// ([`PREFETCH_QUEUE_BATCHES`]), overlapping source latency with the
-    /// pipeline while backpressure keeps residency bounded.
-    Queued { feed: QueuedFeed, done: bool },
 }
 
 enum OpNode<'r> {
@@ -2236,16 +2193,6 @@ impl<'r> ScanOp<'r> {
                     table: ctx.scan(source, name, request, policy.deadline)?,
                     cursor: 0,
                 }
-            } else if let Some(feed) = (!*semijoin_reduced)
-                .then(|| ctx.take_queued_scan(&versioned_scan_key(source, name, request)))
-                .flatten()
-            {
-                // The prefetcher registered a bounded feed for this scan —
-                // consume it instead of opening a second source cursor. A
-                // semi-join-reduced request never matches a registered key
-                // (the injected IN-set changes the key), and is skipped
-                // outright for clarity.
-                ScanState::Queued { feed, done: false }
             } else {
                 ScanState::Cursor {
                     batches: source
@@ -2298,46 +2245,6 @@ impl<'r> ScanOp<'r> {
                             if !out.is_empty() {
                                 ctx.note_high_water(out.approx_bytes());
                                 return Ok(Some(out));
-                            }
-                        }
-                    }
-                }
-            }
-            ScanState::Queued { feed, done } => {
-                if *done {
-                    return Ok(None);
-                }
-                loop {
-                    // A sender dropping without an error message is the
-                    // normal end of stream; an expired deadline surfaces
-                    // here rather than blocking on a stalled producer.
-                    let message = match policy.deadline {
-                        Some(d) => {
-                            let wait = d.saturating_duration_since(Instant::now());
-                            match feed.recv_timeout(wait) {
-                                Ok(message) => Some(message),
-                                Err(RecvTimeoutError::Timeout) => {
-                                    *done = true;
-                                    return Err(PlanError::DeadlineExceeded);
-                                }
-                                Err(RecvTimeoutError::Disconnected) => None,
-                            }
-                        }
-                        None => feed.recv().ok(),
-                    };
-                    match message {
-                        None => {
-                            *done = true;
-                            return Ok(None);
-                        }
-                        Some(Err(e)) => {
-                            *done = true;
-                            return Err(e);
-                        }
-                        Some(Ok(batch)) => {
-                            if !batch.is_empty() {
-                                ctx.note_high_water(batch.approx_bytes());
-                                return Ok(Some(batch));
                             }
                         }
                     }
@@ -2822,19 +2729,18 @@ pub fn execute_plan_in_with(
     Ok(Relation::new(plan.schema().clone(), rows)?)
 }
 
-/// Collects the distinct scan leaves of a plan tree the prefetcher can
-/// work ahead on — each tagged with whether the executor will materialize
-/// it through the context cache (`true`: warm the shared cell) or pull it
-/// cursor-only (`false`: feed it through a bounded queue). Probe scans
-/// semi-join passing is about to reduce are skipped entirely (prefetching
-/// those would issue the full unreduced scan the sideways pass exists to
-/// avoid, *and* pollute the cache with it).
+/// Collects the distinct cache-destined scan leaves of a plan tree — the
+/// scans the prefetcher can warm. Cursor-only scans are left to the pulling
+/// pipeline (nothing would hold a warmed copy), and probe scans semi-join
+/// passing is about to reduce are skipped entirely (prefetching those would
+/// issue the full unreduced scan the sideways pass exists to avoid, *and*
+/// pollute the cache with it).
 fn collect_prefetch_scans<'p>(
     plan: &'p PhysicalPlan,
     ctx: &ExecContext,
     source: &dyn PlanSource,
     policy: &ExecPolicy,
-    out: &mut Vec<(&'p str, &'p ScanRequest, bool)>,
+    out: &mut Vec<(&'p str, &'p ScanRequest)>,
 ) {
     match plan {
         PhysicalPlan::Scan {
@@ -2843,10 +2749,10 @@ fn collect_prefetch_scans<'p>(
         } => {
             if !out
                 .iter()
-                .any(|(s, r, _)| *s == name.as_str() && *r == request)
+                .any(|(s, r)| *s == name.as_str() && *r == request)
+                && scan_uses_cache(ctx, source, policy, name, request)
             {
-                let cached = scan_uses_cache(ctx, source, policy, name, request);
-                out.push((name, request, cached));
+                out.push((name, request));
             }
         }
         PhysicalPlan::Rename { input, .. }
@@ -2880,46 +2786,22 @@ fn collect_prefetch_scans<'p>(
     }
 }
 
-/// [`execute_plan_prefetched_with`] under the default [`ExecPolicy`].
-pub fn execute_plan_prefetched(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    source: &dyn PlanSource,
-    max_workers: usize,
-) -> Result<Relation, PlanError> {
-    execute_plan_prefetched_with(plan, ctx, source, max_workers, ExecPolicy::default())
-}
-
-/// Batches a queued-scan producer may run ahead of its consumer: the
-/// bounded queue is the backpressure that keeps one slow (or huge) source
-/// from buffering unboundedly while siblings and the pipeline proceed.
-pub const PREFETCH_QUEUE_BATCHES: usize = 4;
-
-/// Runs a plan like [`execute_plan_in_with`], but works ahead of the
-/// pulling pipeline on `crossbeam` scoped prefetch threads:
+/// Runs a plan like [`execute_plan_in_with`], but first warms its cold
+/// cache-destined scan leaves concurrently on a `crossbeam` scoped worker
+/// pool (bounded by `max_workers`), so a plan over several sources overlaps
+/// their scans with each other — and with the join pipeline, which starts
+/// pulling on the caller's thread immediately and blocks per scan only
+/// until *that* scan's shared cache cell is filled.
 ///
-/// * **Cache-destined** scan leaves are warmed concurrently by a worker
-///   pool (bounded by `max_workers`), so a plan over several sources
-///   overlaps their scans with each other — and with the join pipeline,
-///   which starts pulling on the caller's thread immediately and blocks
-///   per scan only until *that* scan's shared cache cell is filled.
-/// * **Cursor-routed** scan leaves (scans the policy keeps out of the
-///   cache) each get a *dedicated* producer thread feeding interned
-///   batches through a bounded queue of [`PREFETCH_QUEUE_BATCHES`]
-///   batches; the scan operator consumes the queue instead of opening its
-///   own cursor. Source latency (a remote source's page fetches) overlaps
-///   with execution, while the bounded queue exerts backpressure — a slow
-///   source can stall only its own producer, never a sibling's, and never
-///   buffers more than the queue holds. Producers beyond `max_workers`
-///   are not spawned; the overflow scans just run as plain cursors.
-///
-/// Probe scans the semi-join pass is about to reduce are deliberately not
-/// prefetched on either path. Memory stays bounded: each in-flight
-/// prefetch streams through [`PlanSource::scan_batches`] and holds at most
-/// one value-space batch plus (for queued feeds) the bounded queue; what
-/// accumulates is the interned (4-bytes-per-cell) form in the shared scan
-/// cache, which the plan's operators would have materialized anyway.
-/// Plans with nothing to work ahead on skip the threads entirely.
+/// Cursor-only scans are not prefetched: the pulling pipeline opens their
+/// cursors itself, and a source that can read ahead (a remote wrapper's
+/// pager) does so behind the cursor. Probe scans the semi-join pass is
+/// about to reduce are not prefetched either. Memory stays bounded: each
+/// in-flight warm-up streams through [`PlanSource::scan_batches`] and holds
+/// at most one value-space batch; what accumulates is the interned
+/// (4-bytes-per-cell) form in the shared scan cache, which the plan's
+/// operators would have materialized anyway. Plans with fewer than two
+/// cold scans to warm skip the threads entirely.
 pub fn execute_plan_prefetched_with(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
@@ -2931,89 +2813,26 @@ pub fn execute_plan_prefetched_with(
     collect_prefetch_scans(plan, ctx, source, &policy, &mut scans);
     // Warm scans need no prefetch — on a persistent context a repeated
     // query would otherwise spawn threads just to find every cell filled.
-    let cached: Vec<(&str, &ScanRequest)> = scans
-        .iter()
-        .filter(|(name, request, cached)| *cached && !ctx.scan_resolved(source, name, request))
-        .map(|(name, request, _)| (*name, *request))
-        .collect();
-    let mut queued: Vec<(&str, &ScanRequest)> = scans
-        .iter()
-        .filter(|(_, _, cached)| !cached)
-        .map(|(name, request, _)| (*name, *request))
-        .collect();
-    queued.truncate(max_workers);
-    if max_workers < 2 || (cached.len() < 2 && queued.is_empty()) {
+    scans.retain(|(name, request)| !ctx.scan_resolved(source, name, request));
+    if max_workers < 2 || scans.len() < 2 {
         return execute_plan_in_with(plan, ctx, source, policy);
     }
-    let warm_workers = if cached.len() >= 2 {
-        cached.len().min(max_workers)
-    } else {
-        0
-    };
     let next = AtomicU64::new(0);
-    let cached = &cached;
-    let next = &next;
-    let deadline = policy.deadline;
+    let (scans, next) = (&scans, &next);
     crossbeam::scope(|s| {
-        let mut queued_keys = Vec::new();
-        for (name, request) in &queued {
-            let key = versioned_scan_key(source, name, request);
-            let (tx, rx): (SyncSender<Result<Batch, PlanError>>, _) =
-                std::sync::mpsc::sync_channel(PREFETCH_QUEUE_BATCHES);
-            ctx.offer_queued_scan(key.clone(), rx);
-            queued_keys.push(key);
-            let (name, request) = (*name, *request);
-            s.spawn(move |_| {
-                let batches = match source.scan_batches(
-                    name,
-                    request,
-                    adaptive_batch_rows(ctx, source, name, request),
-                ) {
-                    Ok(batches) => batches,
-                    Err(e) => {
-                        let _ = tx.send(Err(e.into()));
-                        return;
-                    }
-                };
-                for rows in batches {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        let _ = tx.send(Err(PlanError::DeadlineExceeded));
-                        return;
-                    }
-                    let message = rows.map_err(PlanError::from).and_then(|rows| {
-                        let mut out = Batch::new(request.output().len());
-                        ctx.intern_scan_rows(request.output(), &rows, &mut out)?;
-                        ctx.note_high_water(out.approx_bytes());
-                        Ok(out)
-                    });
-                    let failed = message.is_err();
-                    // A failed send means the consumer (or the cleanup
-                    // below) dropped the feed — stop fetching.
-                    if tx.send(message).is_err() || failed {
-                        return;
-                    }
-                }
-            });
-        }
-        for _ in 0..warm_workers {
+        for _ in 0..scans.len().min(max_workers) {
             s.spawn(move |_| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed) as usize;
-                let Some((name, request)) = cached.get(index) else {
+                let Some((name, request)) = scans.get(index) else {
                     break;
                 };
                 // Warm the shared cache cell; an error is re-surfaced
                 // (deterministically, from the same cell) when the plan's
                 // own scan operator pulls it.
-                let _ = ctx.scan(source, name, request, deadline);
+                let _ = ctx.scan(source, name, request, policy.deadline);
             });
         }
-        let result = execute_plan_in_with(plan, ctx, source, policy);
-        // Feeds nobody claimed (a probe scan reduced after registration, an
-        // execution that errored before reaching its scan) would leave
-        // their producers blocked on a full queue: drop them so the
-        // senders disconnect before the scope joins.
-        ctx.drop_queued_scans(&queued_keys);
-        result
+        execute_plan_in_with(plan, ctx, source, policy)
     })
     .expect("prefetch thread panicked")
 }
@@ -3403,7 +3222,8 @@ mod tests {
             .unwrap();
         let reference = execute_plan(&plan, &source).unwrap();
         let ctx = ExecContext::new();
-        let out = execute_plan_prefetched(&plan, &ctx, &counting, 8).unwrap();
+        let out =
+            execute_plan_prefetched_with(&plan, &ctx, &counting, 8, ExecPolicy::default()).unwrap();
         assert_eq!(out.rows(), reference.rows());
         // Prefetch threads and the pulling pipeline share the cache cells:
         // each distinct scan ran exactly once.
@@ -3412,7 +3232,14 @@ mod tests {
         let bad = scan_all("w1", &w1())
             .hash_join(scan_all("zz", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        assert!(execute_plan_prefetched(&bad, &ExecContext::new(), &source, 8).is_err());
+        assert!(execute_plan_prefetched_with(
+            &bad,
+            &ExecContext::new(),
+            &source,
+            8,
+            ExecPolicy::default()
+        )
+        .is_err());
     }
 
     /// A mutable source whose `data_version` moves with its rows — the

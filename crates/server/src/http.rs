@@ -21,30 +21,54 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
+/// Why [`read_request`] produced no request.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The client sent a malformed or oversized request: answer `status`
+    /// with `message` as the JSON error, then close the connection.
+    Rejected { status: u16, message: &'static str },
+    /// The transport failed (an I/O error, EOF mid-request): close without
+    /// a response.
+    Io(io::Error),
+}
+
+impl From<io::Error> for ReadError {
+    fn from(e: io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+fn rejected(status: u16, message: &'static str) -> ReadError {
+    ReadError::Rejected { status, message }
+}
+
 /// Reads one request off the stream. `Ok(None)` means the connection
 /// closed cleanly before a request started, or shutdown was requested —
-/// either way the caller should drop the connection. The stream must have
-/// a read timeout set; timeouts are used to poll `stop`.
-pub fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Request>> {
+/// either way the caller should drop the connection. A malformed request
+/// is [`ReadError::Rejected`] with 400, an oversized head with 431 and a
+/// declared body over the cap with 413 — the last before any body byte is
+/// read. The stream must have a read timeout set; timeouts are used to
+/// poll `stop`.
+pub fn read_request(
+    stream: &mut TcpStream,
+    stop: &AtomicBool,
+) -> Result<Option<Request>, ReadError> {
     let mut buf: Vec<u8> = Vec::new();
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request head too large",
-            ));
+            return Err(rejected(431, "request head too large"));
         }
         match read_some(stream, &mut buf, stop)? {
             ReadStep::Data => {}
             ReadStep::Eof if buf.is_empty() => return Ok(None),
             ReadStep::Eof => {
-                return Err(io::Error::new(
+                return Err(ReadError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-request",
-                ))
+                )))
             }
             ReadStep::Stopped => return Ok(None),
         }
@@ -54,25 +78,17 @@ pub fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Opt
     // in bounds; checked access keeps the serving path panic-free anyway.
     let (head_bytes, body_start) = match (buf.get(..head_end), buf.get(head_end + 4..)) {
         (Some(head), Some(body)) => (head, body),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed request head",
-            ))
-        }
+        _ => return Err(rejected(400, "malformed request head")),
     };
-    let head = std::str::from_utf8(head_bytes)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 request head"))?;
+    let head =
+        std::str::from_utf8(head_bytes).map_err(|_| rejected(400, "non-UTF-8 request head"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_owned();
     let path = parts.next().unwrap_or("").to_owned();
     if method.is_empty() || path.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed request line",
-        ));
+        return Err(rejected(400, "malformed request line"));
     }
 
     let mut content_length = 0usize;
@@ -85,16 +101,13 @@ pub fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Opt
         if name.eq_ignore_ascii_case("content-length") {
             content_length = value
                 .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))?;
+                .map_err(|_| rejected(400, "bad Content-Length"))?;
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Err(rejected(413, "request body too large"));
     }
 
     let mut body: Vec<u8> = body_start.to_vec();
@@ -102,10 +115,10 @@ pub fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Opt
         match read_some(stream, &mut body, stop)? {
             ReadStep::Data => {}
             ReadStep::Eof => {
-                return Err(io::Error::new(
+                return Err(ReadError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-body",
-                ))
+                )))
             }
             ReadStep::Stopped => return Ok(None),
         }
@@ -163,6 +176,8 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         504 => "Gateway Timeout",
         _ => "Unknown",

@@ -226,7 +226,9 @@ fn accept_loop(
 }
 
 /// One connection: keep-alive request loop until the client closes, an
-/// error occurs, or shutdown is requested.
+/// error occurs, or shutdown is requested. A malformed or oversized
+/// request is answered with its 4xx status and `Connection: close`, then
+/// the connection closes.
 fn serve_connection(
     mut stream: TcpStream,
     backend: &Backend,
@@ -234,7 +236,16 @@ fn serve_connection(
     stop: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL))?;
-    while let Some(request) = http::read_request(&mut stream, stop)? {
+    loop {
+        let request = match http::read_request(&mut stream, stop) {
+            Ok(Some(request)) => request,
+            Ok(None) => break,
+            Err(http::ReadError::Rejected { status, message }) => {
+                let body = serde_json::json!({ "error": message }).to_string();
+                return http::write_response(&mut stream, status, &body, false);
+            }
+            Err(http::ReadError::Io(e)) => return Err(e),
+        };
         let (status, body) = route(backend, config, &request);
         let keep_alive = request.keep_alive && !stop.load(Ordering::Acquire);
         http::write_response(&mut stream, status, &body, keep_alive)?;

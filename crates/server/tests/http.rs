@@ -160,3 +160,51 @@ fn server_config_applies_defaults() {
     .expect("query");
     assert_eq!(reply["rows"].as_array().expect("rows").len(), 1);
 }
+
+/// Sends raw bytes on a fresh connection and reads until the server
+/// closes it; returns the status code and the whole response text.
+fn raw_exchange(addr: &str, bytes: &[u8]) -> (u16, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(bytes).expect("send");
+    let mut response = Vec::new();
+    // `read_to_end` returns only at EOF: the server closed after answering.
+    stream
+        .read_to_end(&mut response)
+        .expect("response then EOF");
+    let text = String::from_utf8(response).expect("UTF-8 response");
+    let status = text
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|rest| rest.get(..3))
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {text:?}"));
+    (status, text)
+}
+
+#[test]
+fn malformed_requests_get_a_status_then_close() {
+    let (_server, addr) = started();
+    // A request line without a path.
+    let (status, text) = raw_exchange(&addr, b"GARBAGE\r\n\r\n");
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    assert!(text.contains(r#"{"error":"#), "{text}");
+    // A head one byte over the 64 KiB cap, never terminated.
+    let mut head = b"GET /stats HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(64 * 1024 + 1, b'a');
+    let (status, text) = raw_exchange(&addr, &head);
+    assert_eq!(status, 431, "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    assert!(text.contains(r#"{"error":"#), "{text}");
+    // A declared body over the 16 MiB cap: answered without sending it.
+    let (status, text) = raw_exchange(
+        &addr,
+        b"POST /query HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n",
+    );
+    assert_eq!(status, 413, "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    assert!(text.contains(r#"{"error":"#), "{text}");
+}

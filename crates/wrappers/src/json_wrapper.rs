@@ -4,9 +4,9 @@
 //! collection and flattens the resulting JSON objects into the flat 1NF
 //! relation the ontology layer expects.
 
-use crate::wrapper::{RowBatches, Wrapper, WrapperError};
+use crate::wrapper::{chunked, RowBatches, Wrapper, WrapperError};
 use bdi_docstore::{DocPredicate, DocStore, Pipeline, Projection};
-use bdi_relational::plan::{batches_from_relation, Bound, ColumnFilter, Predicate, ScanRequest};
+use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanRequest};
 use bdi_relational::{Relation, RelationError, Schema, StatsBuilder, TableStats, Tuple, Value};
 use std::sync::{Arc, Mutex};
 
@@ -155,7 +155,7 @@ impl JsonWrapper {
     /// (indexed into the fetch list) and the wrapper pipeline with the
     /// trailing `$project` / `$match` stages appended. `None` when a dotted
     /// column forces the wholesale reference path (see
-    /// [`JsonWrapper::scan_request`]).
+    /// [`JsonWrapper::scan_request_batches`]).
     #[allow(clippy::type_complexity)]
     fn narrowed_pipeline(
         &self,
@@ -301,67 +301,44 @@ impl Wrapper for JsonWrapper {
                 || to_doc_predicate(&filter.predicate).is_some())
     }
 
-    /// Native pushdown: a trailing `$project` of only the requested fields
-    /// is appended to the wrapper's pipeline, followed by a `$match` of
-    /// every translatable predicate, so the document store never surfaces
-    /// unused attributes or filtered-out documents. The docstore compares
-    /// through [`bdi_docstore::json_cmp`], which mirrors relational
-    /// [`Value`] ordering (cross-type numeric equality included) — the
-    /// contract is relational. Untranslatable predicates are evaluated here
-    /// after JSON→[`Value`] conversion, so the method honours *any* request
-    /// whether or not its filters were claimed.
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        // The narrowing `$project` (and any `$match`) resolves fields by
-        // dotted-path traversal, while this wrapper's own projection output
-        // holds column names as literal keys — a dotted column name cannot
-        // be re-addressed through the pipeline, so such requests take the
-        // reference path wholesale.
-        let Some((fetch, residual, pipeline)) = self.narrowed_pipeline(request)? else {
-            return Ok(request.apply(&self.scan()?)?);
-        };
-        let docs = self
-            .store
-            .aggregate(&self.collection, &pipeline)
-            .map_err(|e| WrapperError::permanent(self.name.clone(), e.to_string()))?;
-        let arity = request.columns().len();
-        let mut rel = Relation::empty(request.output().clone());
-        for doc in docs {
-            if let Some(row) = self.convert_row(&fetch, arity, &residual, &doc)? {
-                rel.push(row)?;
-            }
-        }
-        Ok(rel)
-    }
-
-    /// Native streaming pushdown: pulls `batch_rows`-document chunks from
-    /// the backing collection (one short read-lock hold each, via
-    /// [`DocStore::docs_chunk`]) and feeds them through a batch-aware
-    /// pipeline cursor ([`Pipeline::start`]) whose `$limit` budgets span
-    /// chunks — so neither the store's full document set nor the full
-    /// result relation is ever materialized in one piece. A
-    /// `$limit`-exhausted cursor stops pulling chunks early.
+    /// Native streaming pushdown: a trailing `$project` of only the
+    /// requested fields is appended to the wrapper's pipeline, followed by
+    /// a `$match` of every translatable predicate, so the document store
+    /// never surfaces unused attributes or filtered-out documents. The
+    /// docstore compares through [`bdi_docstore::json_cmp`], which mirrors
+    /// relational [`Value`] ordering (cross-type numeric equality
+    /// included) — the contract is relational. Untranslatable predicates
+    /// are evaluated here after JSON→[`Value`] conversion, so the method
+    /// honours *any* request whether or not its filters were claimed.
     ///
-    /// Unlike the eager [`Wrapper::scan_request`] (one lock across the
-    /// whole aggregate), this is a *cursor*, not a point snapshot: it is
-    /// bounded to the documents present when it started and shrink-safe
-    /// (a concurrent [`DocStore::clear`] ends it early), but a clear
-    /// followed by re-inserts mid-scan can surface a mix of the two
-    /// generations within one result — the same consistency any paging
-    /// source gives. Every mutation bumps [`Wrapper::data_version`], so
-    /// cached results of such a scan are invalidated either way; consumers
-    /// needing single-lock snapshot semantics use the eager entry point.
+    /// Rows arrive in `batch_rows`-document chunks pulled from the backing
+    /// collection (one short read-lock hold each, via
+    /// [`DocStore::docs_chunk`]) and fed through a batch-aware pipeline
+    /// cursor ([`Pipeline::start`]) whose `$limit` budgets span chunks — so
+    /// neither the store's full document set nor the full result relation
+    /// is ever materialized in one piece. A `$limit`-exhausted cursor stops
+    /// pulling chunks early.
+    ///
+    /// This is a *cursor*, not a point snapshot: it is bounded to the
+    /// documents present when it started and shrink-safe (a concurrent
+    /// [`DocStore::clear`] ends it early), but a clear followed by
+    /// re-inserts mid-scan can surface a mix of the two generations within
+    /// one result — the same consistency any paging source gives. Every
+    /// mutation bumps [`Wrapper::data_version`], so cached results of such
+    /// a scan are invalidated either way. One `usize::MAX` batch is one
+    /// lock hold.
     fn scan_request_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
     ) -> Result<RowBatches<'a>, WrapperError> {
+        // The narrowing `$project` (and any `$match`) resolves fields by
+        // dotted-path traversal, while this wrapper's own projection output
+        // holds column names as literal keys — a dotted column name cannot
+        // be re-addressed through the pipeline, so such requests chunk the
+        // wholesale reference result instead.
         let Some((fetch, residual, pipeline)) = self.narrowed_pipeline(request)? else {
-            // Dotted columns cannot be re-addressed through the narrowing
-            // pipeline: chunk the wholesale reference result instead.
-            let relation = self.scan_request(request)?;
-            return Ok(Box::new(
-                batches_from_relation(relation, batch_rows).map(|r| r.map_err(WrapperError::from)),
-            ));
+            return Ok(chunked(request.apply(&self.scan()?)?, batch_rows));
         };
         let total = self
             .store
@@ -481,6 +458,7 @@ impl Wrapper for JsonWrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wrapper;
     use bdi_docstore::{AggExpr, Projection};
     use serde_json::json;
 
@@ -568,7 +546,7 @@ mod tests {
         )
         .unwrap()
         .with_filter("VoDmonitorId", Value::Int(12));
-        let native = w.scan_request(&request).unwrap();
+        let native = wrapper::scan_request(&w, &request).unwrap();
         let reference = request.apply(&w.scan().unwrap()).unwrap();
         assert_eq!(native, reference);
         assert_eq!(native.len(), 2);
@@ -594,7 +572,7 @@ mod tests {
         )
         .unwrap()
         .with_filter("VoDmonitorId", Value::Int(12));
-        let native = w.scan_request(&eq).unwrap();
+        let native = wrapper::scan_request(&w, &eq).unwrap();
         assert_eq!(native, eq.apply(&w.scan().unwrap()).unwrap());
         assert_eq!(native.len(), 3); // both Int(12) docs and the Float(12.0) doc
 
@@ -605,7 +583,7 @@ mod tests {
                 Predicate::in_set([Value::Int(12), Value::Int(18)]),
             );
         assert!(w.claims_filter(&range.filters()[0]));
-        let native = w.scan_request(&range).unwrap();
+        let native = wrapper::scan_request(&w, &range).unwrap();
         assert_eq!(native, range.apply(&w.scan().unwrap()).unwrap());
     }
 
@@ -647,7 +625,7 @@ mod tests {
         let dotted_filter = ColumnFilter::new("a.b", Predicate::eq(1));
         assert!(!dotted.claims_filter(&dotted_filter));
         let dotted_request = ScanRequest::full(dotted.schema()).with_column_filter(dotted_filter);
-        let dotted_native = dotted.scan_request(&dotted_request).unwrap();
+        let dotted_native = wrapper::scan_request(&dotted, &dotted_request).unwrap();
         assert_eq!(
             dotted_native,
             dotted_request.apply(&dotted.scan().unwrap()).unwrap()
@@ -656,7 +634,7 @@ mod tests {
         // …but a request carrying one anyway is evaluated residually, with
         // reference semantics (everything is ≤ NaN: it sorts greatest).
         let request = ScanRequest::full(w.schema()).with_column_filter(filter);
-        let native = w.scan_request(&request).unwrap();
+        let native = wrapper::scan_request(&w, &request).unwrap();
         assert_eq!(native, request.apply(&w.scan().unwrap()).unwrap());
         assert_eq!(native.len(), 3);
     }
@@ -730,7 +708,7 @@ mod tests {
         )
         .unwrap();
         let request = ScanRequest::full(w.schema());
-        let reference = w.scan_request(&request).unwrap();
+        let reference = wrapper::scan_request(&w, &request).unwrap();
         let rows: Vec<_> = w
             .scan_request_batches(&request, 1)
             .unwrap()

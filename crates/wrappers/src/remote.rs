@@ -25,7 +25,7 @@
 //!   transient timeout error instead of a hang. Retry activity is counted
 //!   in [`RetryStats`], surfaced through [`Wrapper::retry_stats`].
 
-use crate::wrapper::{RetryStats, RowBatches, Wrapper, WrapperError};
+use crate::wrapper::{scan_request, RetryStats, RowBatches, Wrapper, WrapperError};
 use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanRequest};
 use bdi_relational::{Relation, Schema, Tuple, Value};
 use rand::rngs::StdRng;
@@ -596,7 +596,6 @@ pub struct RemoteWrapper {
     source: String,
     endpoint: Arc<SimulatedEndpoint>,
     retry: RetryPolicy,
-    queue_pages: usize,
     stats: Arc<SharedRetryStats>,
 }
 
@@ -614,43 +613,13 @@ impl RemoteWrapper {
             source: source.into(),
             endpoint,
             retry,
-            queue_pages: REMOTE_QUEUE_PAGES,
             stats: Arc::new(SharedRetryStats::default()),
         }
-    }
-
-    /// Overrides how many pages the detached pager may run ahead of its
-    /// consumer (minimum 1; default [`REMOTE_QUEUE_PAGES`]).
-    pub fn with_queue_pages(mut self, pages: usize) -> Self {
-        self.queue_pages = pages.max(1);
-        self
     }
 
     /// The endpoint this wrapper fetches from.
     pub fn endpoint(&self) -> &Arc<SimulatedEndpoint> {
         &self.endpoint
-    }
-
-    /// Synchronous paged fetch of a whole request (the eager path).
-    fn fetch_all(&self, request: &ScanRequest) -> Result<Vec<Tuple>, WrapperError> {
-        let mut rows = Vec::new();
-        let mut page = 0u64;
-        // analyze: allow(deadline, every page fetch below is bounded by the retry policy's attempt budget and deadline)
-        loop {
-            let params = render_params(request, page, self.endpoint.page_rows);
-            let fetched = fetch_page_with_retry(
-                &self.name,
-                &self.endpoint,
-                &self.retry,
-                &self.stats,
-                &params,
-            )?;
-            rows.extend(fetched.rows);
-            if fetched.last {
-                return Ok(rows);
-            }
-            page += 1;
-        }
     }
 }
 
@@ -748,22 +717,16 @@ impl Wrapper for RemoteWrapper {
         self.endpoint.schema()
     }
 
+    /// Collects the wrapper's own pager over the full request.
     fn scan(&self) -> Result<Relation, WrapperError> {
-        self.scan_request(&ScanRequest::full(self.endpoint.schema()))
-    }
-
-    /// Pages the whole request through the endpoint synchronously (with
-    /// retries); the endpoint evaluates the projection and every filter
-    /// server-side.
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        let rows = self.fetch_all(request)?;
-        Ok(Relation::new(request.output().clone(), rows)?)
+        scan_request(self, &ScanRequest::full(self.endpoint.schema()))
     }
 
     /// Streams pages through a detached producer thread and a bounded
     /// queue: page latency overlaps with the mediator's execution, the
-    /// queue's backpressure keeps at most [`RemoteWrapper::with_queue_pages`]
-    /// pages resident, and a consumer that stops pulling (or drops the
+    /// queue's backpressure keeps at most [`REMOTE_QUEUE_PAGES`] pages
+    /// resident, the endpoint evaluates the projection and every filter
+    /// server-side, and a consumer that stops pulling (or drops the
     /// iterator) disconnects the producer after its current page. Pages
     /// are requested at `batch_rows` rows, so yielded batches respect the
     /// consumer's bound (the endpoint may serve less per page, never
@@ -773,7 +736,7 @@ impl Wrapper for RemoteWrapper {
         request: &ScanRequest,
         batch_rows: usize,
     ) -> Result<RowBatches<'a>, WrapperError> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_pages);
+        let (tx, rx) = std::sync::mpsc::sync_channel(REMOTE_QUEUE_PAGES);
         let pager = Pager {
             name: self.name.clone(),
             endpoint: Arc::clone(&self.endpoint),
@@ -859,7 +822,7 @@ mod tests {
         let wrapper = RemoteWrapper::new("rw", "D", endpoint, RetryPolicy::default());
         let request =
             ScanRequest::full(wrapper.schema()).with_predicate("id", Predicate::at_least(4));
-        let native = wrapper.scan_request(&request).unwrap();
+        let native = scan_request(&wrapper, &request).unwrap();
         let reference = request.apply(&sample_relation()).unwrap();
         assert_eq!(native, reference);
         // Streaming path yields the same rows in the same order.

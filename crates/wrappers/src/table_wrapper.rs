@@ -157,28 +157,14 @@ impl Wrapper for TableWrapper {
         )?)
     }
 
-    /// Native pushdown: only the requested cells are ever cloned, and rows
-    /// failing any pushed predicate are skipped under the read lock instead
-    /// of being materialized first. Every predicate kind is evaluated
-    /// in-scan ([`bdi_relational::Predicate::matches`]), so the wrapper
-    /// claims all filters (the [`crate::Wrapper::claims_filter`] default).
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        // One maximal batch — a single lock hold, like the pre-streaming
-        // implementation.
-        let mut rel = Relation::empty(request.output().clone());
-        for batch in self.scan_request_batches(request, usize::MAX)? {
-            for row in batch? {
-                rel.push(row)?;
-            }
-        }
-        Ok(rel)
-    }
-
     /// Native streaming pushdown: each pulled batch re-acquires the read
     /// lock, examines at most `batch_rows` rows under it — the bound is on
     /// rows *examined*, so even a predicate matching almost nothing never
     /// stretches one hold across the table — and clones only the projected
-    /// cells of the survivors. The lock is never held across batches, so
+    /// cells of the survivors. Every predicate kind is evaluated in-scan
+    /// ([`bdi_relational::Predicate::matches`]), so the wrapper claims all
+    /// filters (the [`crate::Wrapper::claims_filter`] default). One
+    /// `usize::MAX` batch is one lock hold. The lock is never held across batches, so
     /// appends interleave with long scans instead of blocking behind them.
     /// The scan covers the rows present when it started (appends landing
     /// mid-scan surface on the next scan, which also carries a new
@@ -281,6 +267,7 @@ impl Wrapper for TableWrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wrapper;
     use bdi_relational::Value;
 
     #[test]
@@ -331,7 +318,7 @@ mod tests {
         )
         .unwrap()
         .with_filter("id", Value::Int(1));
-        let native = w.scan_request(&request).unwrap();
+        let native = wrapper::scan_request(&w, &request).unwrap();
         let reference = request.apply(&w.scan().unwrap()).unwrap();
         assert_eq!(native, reference);
         assert_eq!(native.len(), 2);
@@ -342,7 +329,7 @@ mod tests {
             Schema::from_parts::<&str>(&[], &["zz"]).unwrap(),
         )
         .unwrap();
-        assert!(w.scan_request(&bad).is_err());
+        assert!(wrapper::scan_request(&w, &bad).is_err());
     }
 
     #[test]
@@ -366,7 +353,7 @@ mod tests {
                 "x",
                 Predicate::in_set([Value::Float(0.25), Value::Float(0.5)]),
             );
-        let native = w.scan_request(&request).unwrap();
+        let native = wrapper::scan_request(&w, &request).unwrap();
         let reference = request.apply(&w.scan().unwrap()).unwrap();
         assert_eq!(native, reference);
         assert_eq!(native.len(), 2);

@@ -120,6 +120,27 @@ impl RetryStats {
 /// consumer's `batch_rows` bound.
 pub type RowBatches<'a> = Box<dyn Iterator<Item = Result<Vec<Tuple>, WrapperError>> + Send + 'a>;
 
+/// Re-yields an already-materialized relation in `batch_rows`-sized
+/// chunks: the batch stream of a wrapper that answers through
+/// [`ScanRequest::apply`].
+pub(crate) fn chunked(relation: Relation, batch_rows: usize) -> RowBatches<'static> {
+    Box::new(batches_from_relation(relation, batch_rows).map(|r| r.map_err(WrapperError::from)))
+}
+
+/// Collects a wrapper's pushdown scan into one relation with the request's
+/// output schema. The stream is pulled as one `usize::MAX` batch, which is
+/// one lock hold for the table and JSON wrappers.
+pub fn scan_request<W: Wrapper + ?Sized>(
+    wrapper: &W,
+    request: &ScanRequest,
+) -> Result<Relation, WrapperError> {
+    let mut rows = Vec::new();
+    for batch in wrapper.scan_request_batches(request, usize::MAX)? {
+        rows.extend(batch?);
+    }
+    Ok(Relation::new(request.output().clone(), rows)?)
+}
+
 /// A queryable view over one schema version of one data source.
 pub trait Wrapper: Send + Sync {
     /// The wrapper's unique name (`w1`, `w4`, …).
@@ -137,53 +158,29 @@ pub trait Wrapper: Send + Sync {
     /// Executes the wrapper's underlying query, producing the current rows.
     fn scan(&self) -> Result<Relation, WrapperError>;
 
-    /// Pushdown-aware scan: surfaces only the columns the mediator's plan
+    /// Pushdown-aware streaming scan — the one pushdown entry point a
+    /// wrapper implements: surfaces only the columns the mediator's plan
     /// requests (renamed to the request's output attributes) and, when the
     /// request carries filters, only the rows satisfying every predicate —
-    /// in the same stable order [`Wrapper::scan`] would produce them.
+    /// in the same stable order [`Wrapper::scan`] would produce them,
+    /// yielded as batches of at most `batch_rows` rows so the mediator's
+    /// interning layer never holds the whole value-space relation.
     ///
-    /// The default implementation scans everything and applies the request
-    /// in the mediator ([`ScanRequest::apply`], the reference semantics).
-    /// Wrapper kinds that can do better override it: [`crate::TableWrapper`]
-    /// copies only the requested cells and evaluates predicates under its
-    /// read lock, [`crate::JsonWrapper`] narrows its aggregation pipeline
-    /// and pushes translatable predicates into a `$match` stage so the
-    /// document store never materializes unused fields or filtered-out
-    /// documents.
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        Ok(request.apply(&self.scan()?)?)
-    }
-
-    /// Streaming form of [`Wrapper::scan_request`]: the same rows in the
-    /// same order, yielded as batches of at most `batch_rows` rows so the
-    /// mediator's interning layer never holds the whole value-space
-    /// relation.
-    ///
-    /// The default is a one-shot adapter over [`Wrapper::scan_request`] —
-    /// existing wrapper kinds keep working unchanged. Wrappers that can
-    /// produce rows incrementally override it: [`crate::TableWrapper`]
-    /// clones only the projected cells of one batch at a time under short
-    /// read-lock holds, [`crate::JsonWrapper`] pulls document chunks from
-    /// its store and runs them through a batch-aware pipeline cursor.
+    /// The default scans everything and chunks [`ScanRequest::apply`]'s
+    /// answer (the reference semantics). Wrapper kinds that can do better
+    /// override it: [`crate::TableWrapper`] clones only the projected cells
+    /// of one batch at a time under short read-lock holds,
+    /// [`crate::JsonWrapper`] narrows its aggregation pipeline, pushes
+    /// translatable predicates into a `$match` stage and pulls document
+    /// chunks through a batch-aware pipeline cursor, and
+    /// [`crate::RemoteWrapper`] pages its endpoint on a read-ahead thread.
+    /// [`scan_request`] collects any of them into one relation.
     fn scan_request_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
     ) -> Result<RowBatches<'a>, WrapperError> {
-        let relation = self.scan_request(request)?;
-        // A mis-shaped scan — wrong arity — must error even when empty
-        // (same precheck as the `PlanSource::scan_batches` default: no row
-        // exists to fail the consumer's per-row check, and the
-        // misconfiguration must not be masked).
-        if relation.schema().len() != request.output().len() {
-            return Err(WrapperError::Relation(RelationError::Arity {
-                expected: request.output().len(),
-                found: relation.schema().len(),
-            }));
-        }
-        Ok(Box::new(
-            batches_from_relation(relation, batch_rows).map(|r| r.map_err(WrapperError::from)),
-        ))
+        Ok(chunked(request.apply(&self.scan()?)?, batch_rows))
     }
 
     /// Monotonic counter over the wrapper's *source data*: bumped by every
@@ -201,12 +198,12 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// Whether the wrapper natively honours `filter` inside
-    /// [`Wrapper::scan_request`]. Plan compilers push only claimed filters
-    /// into the scan request; unclaimed predicates are re-applied in the
-    /// mediator as a residual selection, so declining never changes
+    /// [`Wrapper::scan_request_batches`]. Plan compilers push only claimed
+    /// filters into the scan request; unclaimed predicates are re-applied
+    /// in the mediator as a residual selection, so declining never changes
     /// answers — only where the work happens. The default claims
-    /// everything, which is correct for any wrapper whose `scan_request`
-    /// falls back to [`ScanRequest::apply`].
+    /// everything, which is correct for any wrapper whose
+    /// `scan_request_batches` falls back to [`ScanRequest::apply`].
     ///
     /// Contract: the answer is a function of the filter and the wrapper's
     /// schema, fixed for the wrapper's lifetime. Compiled plans bake the
@@ -217,8 +214,8 @@ pub trait Wrapper: Send + Sync {
         true
     }
 
-    /// A cheap estimate of how many rows [`Wrapper::scan_request`] would
-    /// yield, or `None` when the wrapper cannot produce one. The mediator
+    /// A cheap estimate of how many rows [`Wrapper::scan_request_batches`]
+    /// would yield, or `None` when the wrapper cannot produce one. The mediator
     /// uses it for execution-time scheduling only (hash-join build-side
     /// choice for semi-join sideways passing, cursor-only gating) — never
     /// for correctness. Return the exact count for unfiltered requests or
@@ -390,14 +387,12 @@ impl PlanSource for WrapperRegistry {
             .wrappers
             .get(name)
             .ok_or_else(|| RelationError::Source(format!("unknown wrapper {name}")))?;
-        wrapper
-            .scan_request(request)
-            .map_err(|e| relation_error(name, e))
+        scan_request(wrapper.as_ref(), request).map_err(|e| relation_error(name, e))
     }
 
     /// Streams through the wrapper's own [`Wrapper::scan_request_batches`]
-    /// (native for table and JSON wrappers, the one-shot adapter
-    /// otherwise).
+    /// (native for table, JSON and remote wrappers, the chunked reference
+    /// answer otherwise).
     fn scan_batches<'a>(
         &'a self,
         name: &str,
@@ -537,10 +532,9 @@ mod tests {
         assert_eq!(reg.by_source("D3").len(), 0);
     }
 
-    /// A wrapper whose `scan_request` override answers with an empty
-    /// relation of the wrong arity (a misconfiguration): the default batch
-    /// adapter must reject it even though no row exists to fail the
-    /// consumer's per-row check.
+    /// A wrapper whose `scan` answers with an empty relation of the wrong
+    /// shape (a misconfiguration): the default batch scan must reject it
+    /// even though no row exists to fail the consumer's per-row check.
     #[test]
     fn misshapen_empty_scan_errors_through_the_batch_adapter() {
         struct Misshapen(Schema);
@@ -559,11 +553,7 @@ mod tests {
             }
 
             fn scan(&self) -> Result<Relation, WrapperError> {
-                self.scan_request(&ScanRequest::full(&self.0))
-            }
-
-            fn scan_request(&self, _request: &ScanRequest) -> Result<Relation, WrapperError> {
-                // Always one column, whatever was asked for.
+                // Always one column, whatever the schema says.
                 Ok(Relation::empty(
                     Schema::from_parts::<&str>(&[], &["only"]).unwrap(),
                 ))

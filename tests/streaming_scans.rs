@@ -710,36 +710,43 @@ mod fault_tolerance {
     /// The per-query deadline on a slow-dripping source: pages keep
     /// arriving (50 ms each, ~1 s total), so only the deadline can stop the
     /// query — and it must, within 2× the deadline, with a deadline error
-    /// rather than a hang.
+    /// rather than a hang. Checked with the remote scan cache-filled (the
+    /// default cap) and cursor-only (a 1-value cap makes `ScanCache::Auto`
+    /// route it past the cache, straight through the operator's cursor).
     #[test]
     fn deadline_aborts_a_slow_source_within_twice_the_deadline() {
-        let profile = FaultProfile {
-            page_latency: Duration::from_millis(50),
-            ..FaultProfile::default()
-        };
-        let endpoint = Arc::new(SimulatedEndpoint::new(relation_of(0..40), 2, profile));
-        let (system, omq) =
-            system_over(vec![
-                Arc::new(RemoteWrapper::new("wr", "DR", endpoint, fast_retry()))
-                    as Arc<dyn Wrapper>,
-            ]);
-        let deadline = Duration::from_millis(300);
-        let started = Instant::now();
-        let err = system
-            .serve(AnswerRequest::omq(omq).options(ExecOptions {
-                deadline: Some(deadline),
-                ..ExecOptions::default()
-            }))
-            .expect_err("a 20-page, 50 ms/page scan cannot finish in 300 ms");
-        let elapsed = started.elapsed();
-        assert!(
-            err.to_string().contains("deadline"),
-            "unexpected error: {err}"
-        );
-        assert!(
-            elapsed <= deadline * 2,
-            "deadline overshoot: {elapsed:?} for a {deadline:?} deadline"
-        );
+        for value_cap in [None, Some(1)] {
+            let profile = FaultProfile {
+                page_latency: Duration::from_millis(50),
+                ..FaultProfile::default()
+            };
+            let endpoint = Arc::new(SimulatedEndpoint::new(relation_of(0..40), 2, profile));
+            let (system, omq) =
+                system_over(vec![
+                    Arc::new(RemoteWrapper::new("wr", "DR", endpoint, fast_retry()))
+                        as Arc<dyn Wrapper>,
+                ]);
+            if let Some(cap) = value_cap {
+                system.set_context_value_cap(cap);
+            }
+            let deadline = Duration::from_millis(300);
+            let started = Instant::now();
+            let err = system
+                .serve(AnswerRequest::omq(omq).options(ExecOptions {
+                    deadline: Some(deadline),
+                    ..ExecOptions::default()
+                }))
+                .expect_err("a 20-page, 50 ms/page scan cannot finish in 300 ms");
+            let elapsed = started.elapsed();
+            assert!(
+                err.to_string().contains("deadline"),
+                "value cap {value_cap:?}: unexpected error: {err}"
+            );
+            assert!(
+                elapsed <= deadline * 2,
+                "value cap {value_cap:?}: deadline overshoot: {elapsed:?} for a {deadline:?} deadline"
+            );
+        }
     }
 
     /// A *stalled* source (first page slower than the whole retry budget)
@@ -812,17 +819,14 @@ mod fault_tolerance {
                 self.inner.scan()
             }
 
-            fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-                self.inner.scan_request(request)
-            }
-
             /// A good first batch, then a wrong-arity row.
             fn scan_request_batches<'a>(
                 &'a self,
                 request: &ScanRequest,
                 _batch_rows: usize,
             ) -> Result<bdi::wrappers::wrapper::RowBatches<'a>, WrapperError> {
-                let good: Vec<Tuple> = self.inner.scan_request(request)?.into_rows();
+                let good: Vec<Tuple> =
+                    bdi::wrappers::wrapper::scan_request(&self.inner, request)?.into_rows();
                 let bad: Vec<Tuple> = vec![vec![Value::Int(99)]]; // arity 1, schema wants 2
                 Ok(Box::new(vec![Ok(good), Ok(bad)].into_iter()))
             }

@@ -9,8 +9,9 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Files the `deadline` lint covers, with the functions whose loops must
-/// stay cancellable: the operator pull path and the prefetch/pager
-/// producers.
+/// stay cancellable: the operator pull path, the prefetch warm-up and the
+/// remote pager. A registered function or file that no longer exists is
+/// itself a diagnostic, so a rename cannot retire the contract silently.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     (
         "crates/relational/src/plan.rs",
@@ -18,7 +19,7 @@ const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/wrappers/src/remote.rs",
-        &["run", "fetch_all", "fetch_page_with_retry", "next"],
+        &["run", "fetch_page_with_retry", "next"],
     ),
 ];
 
@@ -175,10 +176,19 @@ pub fn analyze(root: &Path) -> Report {
         }
     }
 
-    // deadline over the registered operator/pager functions.
+    // deadline over the registered operator/pager functions. A missing
+    // file was reported as unreadable above, but it must fail this lint
+    // too: a deleted target would otherwise retire the contract with it.
     for (rel, fn_names) in DEADLINE_TARGETS {
-        if let Some((_, lexed)) = files.get(*rel) {
-            diags.extend(deadline::check(rel, lexed, fn_names));
+        match files.get(*rel) {
+            Some((_, lexed)) => diags.extend(deadline::check(rel, lexed, fn_names)),
+            None => diags.push(Diagnostic::new(
+                rel,
+                1,
+                lints::DEADLINE,
+                "registered deadline target file not found; update the \
+                 registration if it was moved",
+            )),
         }
     }
 

@@ -6,7 +6,9 @@
 //! `recv_timeout`, any `*timeout*` identifier) or a bounded-channel
 //! send (`send`/`try_send` — a disconnected or full channel is how a
 //! producer learns its consumer gave up). Loops that are genuinely bounded
-//! another way carry `// analyze: allow(deadline, <reason>)`.
+//! another way carry `// analyze: allow(deadline, <reason>)`. A registered
+//! function the file no longer defines is reported too, so deleting or
+//! renaming a loop function cannot leave the contract silently.
 
 use super::{Diagnostic, DEADLINE};
 use crate::lexer::{Kind, Lexed, Tok};
@@ -30,8 +32,22 @@ fn is_evidence(tok: &Tok) -> bool {
 /// Checks every loop body inside functions of `lexed` named in `fn_names`.
 pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
+    let spans = functions(tokens);
     let mut out = Vec::new();
-    for span in functions(tokens) {
+    for name in fn_names {
+        if !spans.iter().any(|span| span.name == *name) {
+            out.push(Diagnostic::new(
+                file,
+                1,
+                DEADLINE,
+                format!(
+                    "registered deadline function `{name}` not found; \
+                     update the registration if it was renamed"
+                ),
+            ));
+        }
+    }
+    for span in spans {
         if !fn_names.contains(&span.name.as_str()) {
             continue;
         }
@@ -109,8 +125,17 @@ mod tests {
 
     #[test]
     fn unregistered_functions_are_ignored() {
-        let src = "fn helper() { loop { spin(); } }";
+        let src = "fn next_batch() {} fn helper() { loop { spin(); } }";
         assert!(check("f", &lex(src), &["next_batch"]).is_empty());
+    }
+
+    #[test]
+    fn missing_registered_function_is_reported() {
+        let src = "fn next_batch() { while !policy.deadline_passed() { step(); } }";
+        let diags = check("f", &lex(src), &["next_batch", "fetch_all"]);
+        assert_eq!(diags.len(), 1, "got {diags:?}");
+        assert_eq!(diags[0].lint, DEADLINE);
+        assert!(diags[0].message.contains("`fetch_all` not found"));
     }
 
     #[test]
